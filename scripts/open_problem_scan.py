@@ -9,15 +9,19 @@ Usage: python scripts/open_problem_scan.py [MAX_ORDER]
 import sys
 from collections import Counter
 
-from thetagraph import build_theta, open_problem_classify, prime_order_set, vertex_connectivity
-from thetagraph.cli import _search_groups
+from thetagraph import (
+    FAMILIES,
+    build_theta,
+    enumerate_groups,
+    open_problem_classify,
+    prime_order_set,
+    vertex_connectivity,
+)
 
 
 def main(max_order: int) -> None:
     counts: Counter[str] = Counter()
-    for order, family, params, g in _search_groups(max_order, [
-        "cyclic", "dihedral", "dicyclic", "elementary_abelian", "heisenberg", "product",
-    ]):
+    for order, family, params, g in enumerate_groups(max_order, FAMILIES):
         t = build_theta(g)
         cls = open_problem_classify(t)
         counts[cls] += 1

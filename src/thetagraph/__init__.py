@@ -9,12 +9,14 @@ spectra against an independent eigensolver.
 from .analysis import analyze_group, spectrum_section
 from .graph import ThetaGraph, build_theta, export_dot, export_json, prime_order_set
 from .groups import (
+    FAMILIES,
     GroupSpec,
     cyclic,
     dicyclic,
     dihedral,
     direct_product,
     elementary_abelian,
+    enumerate_groups,
     from_orders,
     heisenberg,
     order_profile,

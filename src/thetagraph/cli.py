@@ -77,9 +77,15 @@ def _load_custom(path: str) -> groups.GroupSpec:
         raise SystemExit2(f"custom group file is not valid JSON: {exc}")
     if not isinstance(doc, dict) or "labels" not in doc or "orders" not in doc:
         raise SystemExit2('custom group file must be {"labels": [...], "orders": [...]}')
+    labels, orders = doc["labels"], doc["orders"]
+    if not isinstance(labels, list) or not isinstance(orders, list):
+        raise SystemExit2('custom group "labels" and "orders" must be JSON arrays')
+    for x in orders:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise SystemExit2(f"custom group orders must be integers, got {json.dumps(x)}")
     try:
-        return groups.from_orders([str(x) for x in doc["labels"]], [int(x) for x in doc["orders"]])
-    except (TypeError, ValueError) as exc:
+        return groups.from_orders([str(x) for x in labels], orders)
+    except ValueError as exc:
         raise SystemExit2(f"invalid custom group: {exc}")
 
 
@@ -149,24 +155,14 @@ def _group_from_args(args: argparse.Namespace) -> groups.GroupSpec:
     if len(chosen) != 1:
         raise SystemExit2("exactly one group selector flag is required")
     name = chosen[0]
-    try:
-        if name == "cyclic":
-            return groups.cyclic(args.cyclic)
-        if name == "dihedral":
-            return groups.dihedral(args.dihedral)
-        if name == "dicyclic":
-            return groups.dicyclic(args.dicyclic)
-        if name == "elem_abelian":
-            return groups.elementary_abelian(*args.elem_abelian)
-        if name == "heisenberg":
-            return groups.heisenberg(args.heisenberg)
-    except ValueError as exc:
-        raise SystemExit2(str(exc))
-    if name == "product":
-        return groups.direct_product(
-            parse_selector(args.product[0]), parse_selector(args.product[1])
-        )
-    return _load_custom(args.custom)
+    value = getattr(args, name)
+    if name == "elem_abelian":
+        text = "elem-abelian:{}:{}".format(*value)
+    elif name == "product":
+        text = "product({},{})".format(*value)
+    else:
+        text = f"{name}:{value}"
+    return parse_selector(text)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -230,46 +226,14 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_CROSSCHECK
 
 
-def _search_groups(max_order: int, families: list[str]):
-    items: list[tuple[int, str, str, groups.GroupSpec]] = []
-    if "cyclic" in families:
-        for n in range(3, max_order + 1):
-            items.append((n, "cyclic", f"n={n}", groups.cyclic(n)))
-    if "dihedral" in families:
-        for n in range(2, max_order // 2 + 1):
-            items.append((2 * n, "dihedral", f"n={n}", groups.dihedral(n)))
-    if "dicyclic" in families:
-        for n in range(2, max_order // 4 + 1):
-            items.append((4 * n, "dicyclic", f"n={n}", groups.dicyclic(n)))
-    if "elementary_abelian" in families:
-        for p in (2, 3, 5, 7, 11, 13):
-            m = 2
-            while p**m <= max_order:
-                items.append((p**m, "elementary_abelian", f"p={p},m={m}", groups.elementary_abelian(p, m)))
-                m += 1
-    if "heisenberg" in families:
-        for p in (2, 3, 5):
-            if p**3 <= max_order:
-                items.append((p**3, "heisenberg", f"p={p}", groups.heisenberg(p)))
-    if "product" in families:
-        for a in range(2, max_order // 2 + 1):
-            for b in range(a, max_order // a + 1):
-                items.append(
-                    (a * b, "product", f"cyclic({a})xcyclic({b})",
-                     groups.direct_product(groups.cyclic(a), groups.cyclic(b)))
-                )
-    items.sort(key=lambda it: (it[0], it[1], it[2]))
-    return items
-
-
 def _cmd_search(args) -> int:
     if args.max_order < 3:
         raise SystemExit2("--max-order must be at least 3")
-    known = ("cyclic", "dihedral", "dicyclic", "elementary_abelian", "heisenberg", "product")
-    families = [f.strip() for f in args.families.split(",")] if args.families else list(known)
-    for f in families:
-        if f not in known:
-            raise SystemExit2(f"unknown family {f!r}; choose from {', '.join(known)}")
+    families = [f.strip() for f in args.families.split(",")] if args.families else groups.FAMILIES
+    try:
+        candidates = groups.enumerate_groups(args.max_order, families)
+    except ValueError as exc:
+        raise SystemExit2(str(exc))
 
     done: set[tuple[str, str]] = set()
     if args.skip_completed and args.out and os.path.exists(args.out):
@@ -278,7 +242,7 @@ def _cmd_search(args) -> int:
                 done.add((row["family"], row["params"]))
 
     records = []
-    for order, family, params, g in _search_groups(args.max_order, families):
+    for order, family, params, g in candidates:
         if (family, params) in done:
             continue
         t = build_theta(g)

@@ -69,20 +69,19 @@ class PrimeOrderSet:
 def build_theta(g: GroupSpec) -> ThetaGraph:
     """Construct the graph from a group's order profile.
 
-    Adjacency is vectorised: a gcd table over the order vector, then a
-    primality lookup. Groups of size <= 2 are accepted but flagged, since
-    the defining setting assumes |G| > 2.
+    Adjacency is decided once per pair of distinct orders: a gcd table over
+    the k distinct orders, primality of each distinct gcd, then expansion to
+    the n x n matrix by each element's order class. Groups of size <= 2 are
+    accepted but flagged, since the defining setting assumes |G| > 2.
     """
-    orders = np.asarray(g.orders, dtype=np.int64)
-    n = len(orders)
-    gcds = np.gcd.outer(orders, orders)
-    max_val = int(gcds.max())
-    lookup = np.zeros(max_val + 1, dtype=bool)
-    for v in range(1, max_val + 1):
-        lookup[v] = is_one_or_prime(v)
-    adj = lookup[gcds]
+    classes, class_of = np.unique(np.asarray(g.orders, dtype=np.int64), return_inverse=True)
+    gcds, gcd_of = np.unique(np.gcd.outer(classes, classes), return_inverse=True)
+    edge = np.array([is_one_or_prime(v) for v in gcds.tolist()])
+    class_adj = edge[gcd_of].reshape(len(classes), len(classes))
+    adj = class_adj[np.ix_(class_of, class_of)]
     np.fill_diagonal(adj, False)
     degrees = adj.sum(axis=1).astype(np.int64)
+    n = len(g.orders)
     warnings = tuple(g.warnings)
     if n <= 2:
         warnings += (

@@ -8,22 +8,28 @@ defining presentations where an independent oracle is wanted.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from .numtheory import is_prime
 
 __all__ = [
+    "FAMILIES",
     "GroupSpec",
     "cyclic",
     "dicyclic",
     "dihedral",
     "direct_product",
     "elementary_abelian",
+    "enumerate_groups",
     "from_orders",
     "heisenberg",
     "order_profile",
 ]
+
+# the built-in families that ``enumerate_groups`` sweeps
+FAMILIES = ("cyclic", "dihedral", "dicyclic", "elementary_abelian", "heisenberg", "product")
 
 
 @dataclass(frozen=True)
@@ -228,3 +234,43 @@ def from_orders(labels: list[str], orders: list[int]) -> GroupSpec:
         identity_index=identities[0],
         warnings=warnings,
     )
+
+
+def _cyclic_product(a: int, b: int) -> GroupSpec:
+    return direct_product(cyclic(a), cyclic(b))
+
+
+def enumerate_groups(max_order: int, families) -> Iterator[tuple[int, str, str, GroupSpec]]:
+    """Every built-in group of order <= max_order in the given families.
+
+    Yields (order, family, params, GroupSpec) sorted by (order, family,
+    params), where params is a compact text such as ``n=6``, ``p=3,m=2`` or
+    ``cyclic(2)xcyclic(3)``. Each spec is built only when it is yielded; an
+    unknown family raises ValueError at once.
+    """
+    for f in families:
+        if f not in FAMILIES:
+            raise ValueError(f"unknown family {f!r}; choose from {', '.join(FAMILIES)}")
+    found = []
+    if "cyclic" in families:
+        found += [(n, "cyclic", f"n={n}", cyclic, (n,)) for n in range(3, max_order + 1)]
+    if "dihedral" in families:
+        found += [(2 * n, "dihedral", f"n={n}", dihedral, (n,))
+                  for n in range(2, max_order // 2 + 1)]
+    if "dicyclic" in families:
+        found += [(4 * n, "dicyclic", f"n={n}", dicyclic, (n,))
+                  for n in range(2, max_order // 4 + 1)]
+    if "elementary_abelian" in families:
+        for p in (2, 3, 5, 7, 11, 13):
+            m = 2
+            while p**m <= max_order:
+                found.append((p**m, "elementary_abelian", f"p={p},m={m}", elementary_abelian, (p, m)))
+                m += 1
+    if "heisenberg" in families:
+        found += [(p**3, "heisenberg", f"p={p}", heisenberg, (p,))
+                  for p in (2, 3, 5) if p**3 <= max_order]
+    if "product" in families:
+        found += [(a * b, "product", f"cyclic({a})xcyclic({b})", _cyclic_product, (a, b))
+                  for a in range(2, max_order // 2 + 1) for b in range(a, max_order // a + 1)]
+    found.sort(key=lambda item: item[:3])
+    return ((order, family, params, build(*args)) for order, family, params, build, args in found)

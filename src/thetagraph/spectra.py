@@ -1,6 +1,6 @@
-"""Signless Laplacian spectra: Q = D + A, a Jacobi eigensolver, exact
-closed-form spectra for the cyclic and dihedral families, and equitable
-partition quotients.
+"""Signless Laplacian spectra: Q = D + A, LAPACK's symmetric eigensolver
+(``eigvalsh`` via numpy), exact closed-form spectra for the cyclic and
+dihedral families, and equitable partition quotients.
 
 The closed forms are kept exact as quadratic surds; rounding enters only at
 the single comparison boundary against the numeric solver.
@@ -157,49 +157,19 @@ def build_Q(t: ThetaGraph) -> np.ndarray:
     return np.diag(t.degrees) + t.adj.astype(np.int64)
 
 
-def eig_sym(m: np.ndarray, tol: float = 1e-12) -> SpectrumResult:
-    """Eigenvalues of a symmetric matrix by cyclic-by-row Jacobi rotations.
+def eig_sym(m: np.ndarray) -> SpectrumResult:
+    """Eigenvalues of a symmetric matrix by LAPACK's ``eigvalsh`` (via numpy).
 
-    Sweeps run until the off-diagonal Frobenius norm drops below
-    tol * ||m||; close eigenvalues are then grouped into multiplicities
-    within 1e-7 * max(1, ||m||).
+    Close eigenvalues are grouped into multiplicities within
+    1e-7 * max(1, ||m||).
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("eig_sym requires a square matrix")
     if not np.array_equal(m, m.T):
         raise ValueError("eig_sym requires a symmetric matrix")
-    n = m.shape[0]
     norm = float(np.linalg.norm(m))
-    a = m.astype(np.float64).copy()
-    diag_mask = np.eye(n, dtype=bool)
-    if n == 1 or norm == 0.0:
-        values = [float(x) for x in np.diag(a)]
-    else:
-        for _ in range(100):
-            off = float(np.linalg.norm(a[~diag_mask]))
-            if off <= tol * norm:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if apq == 0.0:
-                        continue
-                    tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                    # hypot avoids overflow in tau*tau for tiny pivots
-                    tfac = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                    c = 1.0 / math.sqrt(1.0 + tfac * tfac)
-                    s = tfac * c
-                    rp, rq = a[p, :].copy(), a[q, :].copy()
-                    a[p, :] = c * rp - s * rq
-                    a[q, :] = s * rp + c * rq
-                    cp, cq = a[:, p].copy(), a[:, q].copy()
-                    a[:, p] = c * cp - s * cq
-                    a[:, q] = s * cp + c * cq
-                    a[p, q] = a[q, p] = 0.0
-        else:
-            raise RuntimeError("Jacobi sweep limit exceeded without convergence")
-        values = sorted((float(x) for x in np.diag(a)), reverse=True)
+    values = np.linalg.eigvalsh(m.astype(np.float64)).tolist()
     group_tol = MULTIPLICITY_GROUP_TOL * max(1.0, norm)
     groups: list[list[float]] = []
     for v in sorted(values, reverse=True):
@@ -364,12 +334,12 @@ def quotient_matrix(t: ThetaGraph, blocks) -> EquitablePartition:
     )
 
 
-def quotient_spectrum(ep: EquitablePartition, tol: float = 1e-12) -> SpectrumResult:
+def quotient_spectrum(ep: EquitablePartition) -> SpectrumResult:
     """Eigenvalues of the quotient matrix.
 
     The quotient is similar to a symmetric matrix under scaling by the
     square roots of the block sizes (s_i * b_ij = s_j * b_ji for equitable
-    partitions), so the Jacobi solver applies.
+    partitions), so the symmetric eigensolver ``eig_sym`` applies.
     """
     sizes = [len(blk) for blk in ep.blocks]
     k = len(sizes)
@@ -384,7 +354,7 @@ def quotient_spectrum(ep: EquitablePartition, tol: float = 1e-12) -> SpectrumRes
         for j in range(i + 1, k):
             v = math.sqrt(float(b[i, j] * b[j, i]))
             m[i, j] = m[j, i] = v
-    return eig_sym(m, tol=tol)
+    return eig_sym(m)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ CYCLIC_PQ_ORDERS = (6, 10, 14, 15, 21, 33, 35)
 CYCLIC_PRIME_POWER_ORDERS = (4, 8, 16, 32, 9, 27, 25, 49)
 DIHEDRAL_PQ_ORDERS = (6, 10, 15, 21)
 DIHEDRAL_PRIME_POWER_ORDERS = (4, 8, 9, 27, 25)
+# the structural checks sweep every built-in group of order <= 200 but products
+STRUCTURE_FAMILIES = tuple(f for f in groups.FAMILIES if f != "product")
 
 
 @dataclass
@@ -60,23 +62,6 @@ def corrupting_builder(g: groups.GroupSpec) -> ThetaGraph:
     adj.setflags(write=False)
     degrees.setflags(write=False)
     return ThetaGraph(group=t.group, adj=adj, degrees=degrees, warnings=t.warnings)
-
-
-def _test_groups_up_to(max_order: int):
-    for n in range(3, max_order + 1):
-        yield groups.cyclic(n)
-    for n in range(2, max_order // 2 + 1):
-        yield groups.dihedral(n)
-    for n in range(2, max_order // 4 + 1):
-        yield groups.dicyclic(n)
-    for p in (2, 3, 5, 7, 11, 13):
-        m = 2
-        while p**m <= max_order:
-            yield groups.elementary_abelian(p, m)
-            m += 1
-    for p in (2, 3, 5):
-        if p**3 <= max_order:
-            yield groups.heisenberg(p)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +249,7 @@ def check_dicyclic_counterexample(build: Builder) -> CheckResult:
 
 def check_eulerian(build: Builder) -> CheckResult:
     r = CheckResult("structure: eulerian iff odd order with prime element orders")
-    for g in _test_groups_up_to(200):
+    for _, _, _, g in groups.enumerate_groups(200, STRUCTURE_FAMILIES):
         t = build(g)
         value = props.is_eulerian(t)  # raises CrossCheckError on dual mismatch
         theorem = (g.size % 2 == 1) and all(
@@ -342,7 +327,7 @@ def check_hamiltonicity(build: Builder) -> CheckResult:
 
 def check_universals(build: Builder) -> CheckResult:
     r = CheckResult("structure: connected, diameter <= 2, girth 3, domination 1")
-    for g in _test_groups_up_to(200):
+    for _, _, _, g in groups.enumerate_groups(200, STRUCTURE_FAMILIES):
         t = build(g)
         r.expect(props.is_connected(t), f"{g.describe()}: not connected")
         d = props.diameter(t)

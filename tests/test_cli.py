@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from thetagraph import build_theta, cyclic, validate_cycle
 from thetagraph.cli import main, parse_selector
 from thetagraph.properties import components_after_removal
@@ -150,6 +152,24 @@ def test_export_rejects_bad_custom_file(tmp_path, capsys):
     path.write_text('{"labels": ["a"]}')
     code, _, err = run_cli(capsys, "export", "--custom", str(path), "--format", "dot")
     assert code == 1 and "custom" in err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"labels": ["e", "a", "b"], "orders": [1, 2.7, 3]}, "integers, got 2.7"),
+        ({"labels": ["e", "a", "b"], "orders": [True, 2, 3]}, "integers, got true"),
+        ({"labels": ["e", "a", "b"], "orders": [1, "3", 3]}, 'integers, got "3"'),
+        ({"labels": "eab", "orders": [1, 3, 3]}, "JSON arrays"),
+        ({"labels": ["e", "a", "b"], "orders": {"e": 1}}, "JSON arrays"),
+    ],
+)
+def test_custom_file_rejects_non_integer_orders_and_non_arrays(tmp_path, capsys, doc, message):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "export", "--custom", str(path), "--format", "json")
+    assert code == 1 and out == ""
+    assert message in err
 
 
 def test_analyze_non_realizable_profile_fails_cross_check(tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import thetagraph.graph
 from thetagraph.graph import (
     adjacent,
     build_theta,
@@ -13,7 +14,15 @@ from thetagraph.graph import (
     min_degree,
     prime_order_set,
 )
-from thetagraph.groups import cyclic, dicyclic, dihedral, elementary_abelian, heisenberg
+from thetagraph.groups import (
+    cyclic,
+    dicyclic,
+    dihedral,
+    direct_product,
+    elementary_abelian,
+    from_orders,
+    heisenberg,
+)
 from thetagraph.numtheory import is_one_or_prime, is_prime
 
 
@@ -121,6 +130,21 @@ def test_small_group_warning():
     assert not any(code == "small_group" for code, _ in build_theta(cyclic(3)).warnings)
 
 
+def test_primality_is_decided_per_distinct_gcd(monkeypatch):
+    # three elements but a gcd of 10**6: testing every integer up to the
+    # largest gcd would take a million primality calls
+    calls = []
+
+    def counting(v):
+        calls.append(v)
+        return is_one_or_prime(v)
+
+    monkeypatch.setattr(thetagraph.graph, "is_one_or_prime", counting)
+    t = build_theta(from_orders(["e", "a", "b"], [1, 10**6, 10**6]))
+    assert len(calls) <= 2 * 2
+    assert t.edges() == [(0, 1), (0, 2)]
+
+
 def _sample_graphs():
     yield build_theta(cyclic(30))
     yield build_theta(cyclic(64))
@@ -129,6 +153,7 @@ def _sample_graphs():
     yield build_theta(elementary_abelian(3, 3))
     yield build_theta(heisenberg(3))
     yield build_theta(cyclic(199))
+    yield build_theta(direct_product(cyclic(6), cyclic(35)))
 
 
 @pytest.mark.parametrize("t", list(_sample_graphs()), ids=lambda t: t.group.describe())

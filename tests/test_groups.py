@@ -11,6 +11,7 @@ from thetagraph.groups import (
     dihedral,
     direct_product,
     elementary_abelian,
+    enumerate_groups,
     from_orders,
     heisenberg,
     order_profile,
@@ -272,3 +273,42 @@ def test_size_and_lagrange(g, expected_size):
     profile = order_profile(g)
     assert sum(profile.values()) == g.size
     assert profile[1] == 1
+
+
+# ---------------------------------------------------------------------------
+# the family enumerator
+# ---------------------------------------------------------------------------
+
+
+def test_enumerate_groups_is_sorted_with_search_params():
+    items = list(enumerate_groups(12, ["dihedral", "cyclic", "dicyclic", "elementary_abelian",
+                                       "heisenberg", "product"]))
+    keys = [item[:3] for item in items]
+    assert keys == sorted(keys)
+    assert keys[:4] == [(3, "cyclic", "n=3"), (4, "cyclic", "n=4"), (4, "dihedral", "n=2"),
+                        (4, "elementary_abelian", "p=2,m=2")]
+    assert (8, "heisenberg", "p=2") in keys
+    assert (12, "product", "cyclic(2)xcyclic(6)") in keys
+    assert (12, "dicyclic", "n=3") in keys
+    for order, family, _, g in items:
+        assert g.size == order
+        assert g.family == family
+
+
+def test_enumerate_groups_only_requested_families():
+    items = list(enumerate_groups(30, ["heisenberg", "elementary_abelian"]))
+    assert [item[:3] for item in items] == [
+        (4, "elementary_abelian", "p=2,m=2"),
+        (8, "elementary_abelian", "p=2,m=3"),
+        (8, "heisenberg", "p=2"),
+        (9, "elementary_abelian", "p=3,m=2"),
+        (16, "elementary_abelian", "p=2,m=4"),
+        (25, "elementary_abelian", "p=5,m=2"),
+        (27, "elementary_abelian", "p=3,m=3"),
+        (27, "heisenberg", "p=3"),
+    ]
+
+
+def test_enumerate_groups_rejects_unknown_family_before_iterating():
+    with pytest.raises(ValueError, match="sporadic"):
+        enumerate_groups(10, ["cyclic", "sporadic"])

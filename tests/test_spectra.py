@@ -53,7 +53,7 @@ def test_Q_trace_is_degree_sum():
 
 
 # ---------------------------------------------------------------------------
-# Jacobi eigensolver
+# eigensolver (LAPACK eigvalsh via numpy)
 # ---------------------------------------------------------------------------
 
 
@@ -103,6 +103,19 @@ def test_spectrum_invariants_on_group_graphs():
         trace = float(np.trace(q))
         assert abs(spec.trace() - trace) <= 1e-8 * trace
         assert all(v >= -1e-9 for v, _ in spec.numeric_items())
+
+
+@pytest.mark.parametrize(
+    "family, n", [("cyclic", 243), ("dihedral", 143), ("cyclic", 323)]
+)
+def test_closed_forms_match_eigensolver_on_large_graphs(family, n):
+    # hundreds of vertices: the 1e-7 * ||Q|| grouping must keep distinct
+    # eigenvalues apart and put every repeated one in a single group
+    ctor = cyclic if family == "cyclic" else dihedral
+    closed = closed_form_spectrum(family, n)
+    numeric = eig_sym(build_Q(build_theta(ctor(n))))
+    assert spectra_equal(closed, numeric, TOL)
+    assert [m for _, m in numeric.entries] == [m for _, m in closed.entries]
 
 
 # ---------------------------------------------------------------------------
