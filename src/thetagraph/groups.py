@@ -30,6 +30,8 @@ __all__ = [
 
 # the built-in families that ``enumerate_groups`` sweeps
 FAMILIES = ("cyclic", "dihedral", "dicyclic", "elementary_abelian", "heisenberg", "product")
+# the graph is built over int64 orders, and primality is exact far beyond this
+MAX_ORDER = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,8 @@ class GroupSpec:
             raise ValueError("identity_index does not point at the order-1 element")
         if any(o < 1 for o in self.orders):
             raise ValueError("element orders must be positive")
+        if max(self.orders) > MAX_ORDER:
+            raise ValueError(f"element orders must be at most 2**63 - 1, got {max(self.orders)}")
 
     @property
     def size(self) -> int:

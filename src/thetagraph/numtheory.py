@@ -1,8 +1,10 @@
 """Exact integer arithmetic used by the adjacency predicate and spectral formulas.
 
-Everything here is deterministic trial-division arithmetic. Inputs are group
-orders (a few hundred at most), so no probabilistic primality or fast
-factoring is needed.
+Everything here is deterministic. Primality is a Miller-Rabin test on the
+twelve prime bases 2..37, which is exact below 3.18e23 and so for every
+element order a group may carry (at most 2**63 - 1); larger input is
+rejected rather than answered probabilistically. Factoring is trial
+division, used only on group sizes and spectral formulas.
 """
 
 from __future__ import annotations
@@ -22,15 +24,40 @@ __all__ = [
 ]
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least strong pseudoprime to all of _MR_BASES (Sorenson & Webster, 2015)
+_MR_EXACT_BELOW = 318_665_857_834_031_151_167_461
+
+
 def is_prime(n: int) -> bool:
-    """True iff n is prime; 0 and 1 are not prime."""
+    """True iff n is prime; 0 and 1 are not prime.
+
+    Division by the base primes settles every n below 41**2; beyond that a
+    strong-probable-prime test to each base, which no composite below
+    _MR_EXACT_BELOW passes."""
     if n < 2:
         return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 41 * 41:
+        return True
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"is_prime is exact only below {_MR_EXACT_BELOW}, got {n}")
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 1
     return True
 
 

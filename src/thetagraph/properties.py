@@ -67,16 +67,18 @@ def _cross_check_failed(t: ThetaGraph, detail: str) -> CrossCheckError:
 
 
 def _bfs_distances(t: ThetaGraph, src: int) -> np.ndarray:
-    n = t.n_vertices
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[src] = 0
-    q = deque([src])
-    while q:
-        u = q.popleft()
-        for w in np.flatnonzero(t.adj[u]):
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                q.append(int(w))
+    """Hop distances from src (-1 where unreachable), one numpy step per
+    BFS level: the next frontier is every unseen neighbour of the current one."""
+    dist = np.full(t.n_vertices, -1, dtype=np.int64)
+    frontier = np.zeros(t.n_vertices, dtype=bool)
+    frontier[src] = True
+    seen = frontier.copy()
+    level = 0
+    while frontier.any():
+        dist[frontier] = level
+        level += 1
+        frontier = t.adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
     return dist
 
 
@@ -347,45 +349,43 @@ def _toughness_refutation(t: ThetaGraph) -> tuple[frozenset[int], int] | None:
 
 
 def _hamiltonian_search(t: ThetaGraph, node_budget: int) -> tuple[str, tuple[int, ...] | None, int]:
-    """Exact backtracking over vertices in ascending-degree order."""
+    """Exact backtracking over vertices in ascending-degree order.
+
+    Depth-first with an explicit stack, so the depth is not bounded by the
+    interpreter's recursion limit. Each vertex placed on the path counts as
+    one explored node.
+    """
     n = t.n_vertices
     order = sorted(range(n), key=lambda v: (int(t.degrees[v]), v))
     start = order[0]
     rank = {v: k for k, v in enumerate(order)}
     nbrs = [sorted((int(w) for w in t.neighbors(v)), key=lambda w: rank[w]) for v in range(n)]
     used = [False] * n
-    used[start] = True
-    path = [start]
+    path: list[int] = []
+    untried: list = []  # untried[d]: iterator over the neighbours of path[d] not yet tried
     nodes = 0
-
-    def dfs() -> bool | None:
-        nonlocal nodes
+    w = start
+    while True:
         nodes += 1
         if nodes > node_budget:
-            return None
-        v = path[-1]
-        if len(path) == n:
-            return bool(t.adj[v, start])
-        for w in nbrs[v]:
-            if used[w]:
+            return "inconclusive", None, nodes
+        used[w] = True
+        path.append(w)
+        if len(path) == n and t.adj[w, start]:
+            return "yes", tuple(path), nodes
+        untried.append(iter(nbrs[w]))
+        # step to the next unused neighbour, backtracking from exhausted vertices
+        while untried:
+            for w in untried[-1]:
+                if not used[w]:
+                    break
+            else:
+                untried.pop()
+                used[path.pop()] = False
                 continue
-            used[w] = True
-            path.append(w)
-            res = dfs()
-            if res:
-                return True
-            used[w] = False
-            path.pop()
-            if res is None:
-                return None
-        return False
-
-    res = dfs()
-    if res is None:
-        return "inconclusive", None, nodes
-    if res:
-        return "yes", tuple(path), nodes
-    return "no", None, nodes
+            break
+        else:
+            return "no", None, nodes
 
 
 def is_hamiltonian(t: ThetaGraph, node_budget: int = DEFAULT_NODE_BUDGET) -> HamiltonianVerdict:
@@ -410,7 +410,7 @@ def is_hamiltonian(t: ThetaGraph, node_budget: int = DEFAULT_NODE_BUDGET) -> Ham
 
 
 # ---------------------------------------------------------------------------
-# vertex connectivity (Menger via unit-capacity max-flow)
+# vertex connectivity (Menger via class-weighted max-flow on twin classes)
 # ---------------------------------------------------------------------------
 
 
@@ -422,20 +422,22 @@ class ConnectivityResult:
 
 
 class _SplitFlowNet:
-    """Vertex-split digraph: x_in = 2x, x_out = 2x+1; split arcs carry
-    capacity 1, connection arcs are effectively uncapacitated so a minimum
-    cut consists of split arcs only."""
+    """Vertex-split digraph over weighted nodes: x_in = 2x, x_out = 2x+1.
 
-    def __init__(self, t: ThetaGraph):
-        n = t.n_vertices
-        self.n = n
+    The split arc of node x carries its weight (the size of a twin class,
+    1 for a single vertex); connection arcs carry the total weight plus one,
+    so a minimum cut consists of split arcs only and its value is the total
+    weight of the nodes it removes."""
+
+    def __init__(self, weights: list[int], edges):
+        self.size = len(weights)
         self.head: list[int] = []
         self.cap: list[int] = []
-        self.graph: list[list[int]] = [[] for _ in range(2 * n)]
-        big = n + 1
-        for x in range(n):
-            self._add(2 * x, 2 * x + 1, 1)
-        for a, b in t.edges():
+        self.graph: list[list[int]] = [[] for _ in range(2 * self.size)]
+        big = sum(weights) + 1
+        for x, w in enumerate(weights):
+            self._add(2 * x, 2 * x + 1, w)
+        for a, b in edges:
             self._add(2 * a + 1, 2 * b, big)
             self._add(2 * b + 1, 2 * a, big)
 
@@ -463,7 +465,7 @@ class _SplitFlowNet:
             flow += bottleneck
 
     def _bfs(self, s: int, sink: int):
-        pred = [-1] * (2 * self.n)
+        pred = [-1] * (2 * self.size)
         pred[s] = -2
         q = deque([s])
         while q:
@@ -484,9 +486,9 @@ class _SplitFlowNet:
             yield eid
             v = self.head[eid ^ 1]
 
-    def min_cut_vertices(self, s: int) -> frozenset[int]:
-        """After max_flow: vertices whose split arc crosses the cut."""
-        seen = [False] * (2 * self.n)
+    def min_cut_nodes(self, s: int) -> list[int]:
+        """After max_flow: the nodes whose split arc crosses the cut."""
+        seen = [False] * (2 * self.size)
         seen[s] = True
         q = deque([s])
         while q:
@@ -496,15 +498,37 @@ class _SplitFlowNet:
                 if not seen[v] and self.cap[eid] > 0:
                     seen[v] = True
                     q.append(v)
-        return frozenset(x for x in range(self.n) if seen[2 * x] and not seen[2 * x + 1])
+        return [x for x in range(self.size) if seen[2 * x] and not seen[2 * x + 1]]
 
 
 def _local_connectivity(net: _SplitFlowNet, base_cap: list[int], u: int, v: int):
-    """kappa(u, v) for non-adjacent u, v, with the separating vertex set."""
+    """Weighted kappa(u, v) for non-adjacent nodes u, v, with the cut nodes."""
     net.reset(base_cap)
     value = net.max_flow(2 * u + 1, 2 * v)
-    cut = net.min_cut_vertices(2 * u + 1)
-    return value, cut
+    return value, net.min_cut_nodes(2 * u + 1)
+
+
+def _twin_classes(t: ThetaGraph) -> list[np.ndarray]:
+    """Partition the vertices into twin classes, read off the adjacency.
+
+    Equal rows of adj are false twins (equal open neighbourhoods, pairwise
+    non-adjacent); equal rows of adj | I are true twins (equal closed
+    neighbourhoods, a clique). No vertex has twins of both kinds, so its
+    class is its false-twin class when that has two or more members and its
+    true-twin class otherwise. Each class is an ascending index array.
+    """
+    n = t.n_vertices
+
+    def equal_rows(m: np.ndarray) -> np.ndarray:
+        _, inverse = np.unique(np.packbits(m, axis=1), axis=0, return_inverse=True)
+        return inverse.ravel()
+
+    open_id = equal_rows(t.adj)
+    closed_id = equal_rows(t.adj | np.eye(n, dtype=bool))
+    label = np.where(np.bincount(open_id)[open_id] > 1, open_id, n + closed_id)
+    _, class_of = np.unique(label, return_inverse=True)
+    order = np.argsort(class_of, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(class_of[order])) + 1)
 
 
 def _complete_graph_side(t: ThetaGraph) -> bool:
@@ -513,31 +537,49 @@ def _complete_graph_side(t: ThetaGraph) -> bool:
 
 
 def vertex_connectivity(t: ThetaGraph) -> ConnectivityResult:
-    """kappa via max-flow over the standard reduced pair set: a fixed
-    minimum-degree vertex against all its non-neighbors, plus all
-    non-adjacent pairs among its neighbors.
+    """kappa on the twin-class quotient.
 
-    Completeness is detected from the edge count alone, so this stays a
-    pure graph computation even on order lists that are not groups."""
+    A minimum separator S never splits a twin class: each vertex of S is
+    adjacent to every component of G - S, but a vertex whose twin lies
+    outside S reaches only that twin's component. So kappa is the smaller of
+
+    - the degree of a false-twin class C of size >= 2, whose neighbourhood
+      N(C) cuts the members of C apart; and
+    - a class-weighted max-flow over the standard reduced pair set
+      (Esfahanian-Hakimi), taken on the classes: a minimum-degree class
+      against each class not adjacent to it, plus each non-adjacent pair
+      of its neighbour classes.
+
+    The cut is expanded back to vertex indices and re-validated on the full
+    graph. With all classes singletons this is the plain vertex-split
+    max-flow. Completeness is detected from the edge count and the classes
+    from the adjacency, so this stays a pure graph computation even on order
+    lists that are not groups."""
     n = t.n_vertices
     if _complete_graph_side(t):
         return ConnectivityResult(n - 1, None, "complete_rule")
     if not is_connected(t):
         return ConnectivityResult(0, frozenset(), "max_flow")
-    s = int(np.argmin(t.degrees))
-    net = _SplitFlowNet(t)
-    base_cap = net.cap.copy()
+    classes = _twin_classes(t)
+    reps = [int(c[0]) for c in classes]
+    q_adj = t.adj[np.ix_(reps, reps)]
     best: int | None = None
     best_cut: frozenset[int] | None = None
-    neighbor = t.adj[s]
-    targets = [v for v in range(n) if v != s and not neighbor[v]]
-    pairs = [(s, v) for v in targets]
-    ns = [int(w) for w in t.neighbors(s)]
-    pairs.extend((u, v) for u, v in combinations(ns, 2) if not t.adj[u, v])
-    for u, v in pairs:
-        value, cut = _local_connectivity(net, base_cap, u, v)
+    for c, rep in zip(classes, reps):
+        if len(c) > 1 and not t.adj[c[0], c[1]] and (best is None or t.degrees[rep] < best):
+            best, best_cut = int(t.degrees[rep]), frozenset(t.neighbors(rep).tolist())
+    s = int(np.argmin(t.degrees[reps]))
+    ii, jj = np.nonzero(np.triu(q_adj, k=1))
+    net = _SplitFlowNet([len(c) for c in classes], zip(ii.tolist(), jj.tolist()))
+    base_cap = net.cap.copy()
+    pairs = [(s, c) for c in range(len(classes)) if c != s and not q_adj[s, c]]
+    ns = np.flatnonzero(q_adj[s]).tolist()
+    pairs.extend((a, b) for a, b in combinations(ns, 2) if not q_adj[a, b])
+    for a, b in pairs:
+        value, cut = _local_connectivity(net, base_cap, a, b)
         if best is None or value < best:
-            best, best_cut = value, cut
+            best = value
+            best_cut = frozenset(np.concatenate([classes[c] for c in cut]).tolist())
     assert best is not None and best_cut is not None
     if best > min_degree(t):
         raise CrossCheckError("kappa exceeds the minimum degree")

@@ -172,6 +172,15 @@ def test_custom_file_rejects_non_integer_orders_and_non_arrays(tmp_path, capsys,
     assert message in err
 
 
+@pytest.mark.parametrize("big", [2**63, 10**30])
+def test_custom_file_rejects_orders_beyond_int64(tmp_path, capsys, big):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"labels": ["e", "a"], "orders": [1, big]}))
+    code, out, err = run_cli(capsys, "export", "--custom", str(path), "--format", "json")
+    assert code == 1 and out == ""
+    assert "at most 2**63 - 1" in err
+
+
 def test_analyze_non_realizable_profile_fails_cross_check(tmp_path, capsys):
     # Lagrange-consistent yet not a group: one order-9 element
     path = tmp_path / "fake.json"

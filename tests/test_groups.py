@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from thetagraph.graph import build_theta
 from thetagraph.groups import (
     cyclic,
     dicyclic,
@@ -237,6 +238,13 @@ def test_from_orders_rejects_empty_and_mismatched():
         from_orders([], [])
     with pytest.raises(ValueError):
         from_orders(["e"], [1, 2])
+
+
+def test_from_orders_caps_orders_at_int64():
+    t = build_theta(from_orders(["e", "a"], [1, 2**63 - 1]))
+    assert t.edge_count == 1
+    with pytest.raises(ValueError, match="at most 2"):
+        from_orders(["e", "a"], [1, 2**63])
 
 
 def test_order_profile_examples():

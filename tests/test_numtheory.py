@@ -1,3 +1,5 @@
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +17,7 @@ from thetagraph.numtheory import (
 
 
 def _trial_division_is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, n))
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 @pytest.mark.parametrize("a, b, expected", [(6, 4, 2), (7, 1, 1), (12, 12, 12), (0, 0, 0)])
@@ -34,8 +36,28 @@ def test_is_prime_examples(n, expected):
 
 
 def test_is_prime_matches_trial_division():
-    for n in range(500):
+    for n in range(10**5):
         assert is_prime(n) is _trial_division_is_prime(n)
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (3215031751, False),  # strong pseudoprime to bases 2, 3, 5 and 7
+        (3825123056546413051, False),  # strong pseudoprime to bases 2..23
+        ((2**31 - 1) ** 2, False),
+        (2**61 - 1, True),
+        (2**63 - 25, True),  # the largest prime below 2**63
+    ],
+)
+def test_is_prime_large(n, expected):
+    assert is_prime(n) is expected
+
+
+def test_is_prime_refuses_beyond_its_exact_range():
+    assert is_prime(318_665_857_834_031_151_167_460) is False  # even, below the bound
+    with pytest.raises(ValueError, match="exact only below"):
+        is_prime(318_665_857_834_031_151_167_461)
 
 
 @pytest.mark.parametrize("n, expected", [(1, True), (4, False), (13, True)])

@@ -1,9 +1,11 @@
 import math
 
 import networkx as nx
+import numpy as np
 import pytest
 
-from thetagraph.graph import build_theta, min_degree
+from thetagraph import groups
+from thetagraph.graph import build_theta, min_degree, prime_order_set
 from thetagraph.groups import (
     cyclic,
     dicyclic,
@@ -15,7 +17,9 @@ from thetagraph.groups import (
 )
 from thetagraph.properties import (
     CrossCheckError,
+    _bfs_distances,
     _hamiltonian_search,
+    _twin_classes,
     components_after_removal,
     diameter,
     domination_number,
@@ -30,6 +34,7 @@ from thetagraph.properties import (
     validate_cycle,
     vertex_connectivity,
 )
+from thetagraph.verify import corrupting_builder
 
 
 def _nx_graph(t):
@@ -37,6 +42,13 @@ def _nx_graph(t):
     g.add_nodes_from(range(t.n_vertices))
     g.add_edges_from(t.edges())
     return g
+
+
+def _small_graphs(max_order):
+    """Every built-in group up to max_order, built correctly and corrupted."""
+    for _, _, _, g in groups.enumerate_groups(max_order, groups.FAMILIES):
+        yield build_theta(g)
+        yield corrupting_builder(g)
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +67,18 @@ def test_diameter_matches_networkx_on_samples():
     for g in (cyclic(12), dihedral(9), dicyclic(4), cyclic(1), cyclic(2)):
         t = build_theta(g)
         assert diameter(t) == (nx.diameter(_nx_graph(t)) if t.n_vertices > 1 else 0)
+
+
+def test_bfs_distances_match_networkx():
+    graphs = [*_small_graphs(60), corrupting_builder(cyclic(2))]  # the last is disconnected
+    for t in graphs:
+        g = _nx_graph(t)
+        n = t.n_vertices
+        for src in sorted({0, n // 2, n - 1}):
+            expected = np.full(n, -1)
+            for v, d in nx.single_source_shortest_path_length(g, src).items():
+                expected[v] = d
+            assert np.array_equal(_bfs_distances(t, src), expected), (t.group.describe(), src)
 
 
 @pytest.mark.parametrize("n", [3, 4, 9])
@@ -208,6 +232,42 @@ def test_exact_search_finds_cycle_when_forced():
     assert nodes >= 6
 
 
+@pytest.mark.parametrize(
+    "g, build, status, nodes, cycle",
+    [
+        (from_orders(list("eabcdf"), [1, 4, 4, 4, 6, 8]), build_theta, "no", 35, None),
+        (cyclic(4), corrupting_builder, "no", 6, None),
+        (direct_product(cyclic(2), cyclic(4)), corrupting_builder, "yes", 8,
+         (1, 2, 3, 0, 5, 4, 7, 6)),
+        (direct_product(cyclic(2), cyclic(6)), corrupting_builder, "yes", 12,
+         (1, 2, 5, 0, 7, 3, 8, 4, 10, 6, 11, 9)),
+    ],
+)
+def test_exact_search_verdicts_are_pinned(g, build, status, nodes, cycle):
+    verdict = is_hamiltonian(build(g))
+    assert verdict.method == "exact_search"
+    assert (verdict.status, verdict.nodes_explored, verdict.cycle) == (status, nodes, cycle)
+
+
+@pytest.mark.parametrize(
+    "g, budget, expected",
+    [
+        (cyclic(9), 10**6, ("no", None, 1021)),
+        (dicyclic(3), 10**6, ("yes", (6, 1, 7, 5, 8, 0, 9, 2, 10, 3, 11, 4), 12)),
+        (cyclic(30), 1000, ("inconclusive", None, 1001)),
+    ],
+)
+def test_search_results_are_pinned(g, budget, expected):
+    assert _hamiltonian_search(build_theta(g), budget) == expected
+
+
+def test_search_deeper_than_the_recursion_limit():
+    t = build_theta(cyclic(1201))
+    status, cycle, nodes = _hamiltonian_search(t, 10**4)
+    assert status == "yes" and nodes == 1201
+    assert validate_cycle(t, cycle)
+
+
 def test_hamiltonian_brute_force_agreement_small():
     # the pipeline verdict must agree with a plain exhaustive search
     for g in (cyclic(4), cyclic(6), cyclic(8), cyclic(9), dihedral(4), dicyclic(2)):
@@ -276,6 +336,29 @@ def test_vertex_connectivity_matches_networkx():
     ):
         t = build_theta(g)
         assert vertex_connectivity(t).kappa == nx.node_connectivity(_nx_graph(t))
+
+
+def test_vertex_connectivity_matches_networkx_on_all_small_groups():
+    for t in _small_graphs(32):
+        conn = vertex_connectivity(t)
+        assert conn.kappa == nx.node_connectivity(_nx_graph(t)), t.group.describe()
+        if conn.witness_cut is not None:
+            assert len(conn.witness_cut) == conn.kappa
+            assert components_after_removal(t, conn.witness_cut) >= 2
+
+
+def test_twin_classes_partition_into_twins():
+    t = build_theta(dihedral(60))
+    classes = [frozenset(c.tolist()) for c in _twin_classes(t)]
+    assert len(classes) == 9
+    assert frozenset(prime_order_set(t).indices) in classes  # S(G): one clique class
+    for t in (t, corrupting_builder(dihedral(60)), build_theta(cyclic(30))):
+        classes = _twin_classes(t)
+        assert sorted(np.concatenate(classes).tolist()) == list(range(t.n_vertices))
+        closed = t.adj | np.eye(t.n_vertices, dtype=bool)
+        for c in classes:
+            rows = t.adj[c] if not t.adj[c[0], c[-1]] else closed[c]
+            assert (rows == rows[0]).all()
 
 
 # ---------------------------------------------------------------------------
