@@ -66,13 +66,14 @@ def _cross_check_failed(t: ThetaGraph, detail: str) -> CrossCheckError:
 # ---------------------------------------------------------------------------
 
 
-def _bfs_distances(t: ThetaGraph, src: int) -> np.ndarray:
+def _bfs_distances(t: ThetaGraph, src: int, keep: np.ndarray | None = None) -> np.ndarray:
     """Hop distances from src (-1 where unreachable), one numpy step per
-    BFS level: the next frontier is every unseen neighbour of the current one."""
+    BFS level: the next frontier is every unseen neighbour of the current one.
+    With a boolean mask keep, the search stays inside the kept vertices."""
     dist = np.full(t.n_vertices, -1, dtype=np.int64)
     frontier = np.zeros(t.n_vertices, dtype=bool)
     frontier[src] = True
-    seen = frontier.copy()
+    seen = frontier.copy() if keep is None else frontier | ~keep
     level = 0
     while frontier.any():
         dist[frontier] = level
@@ -143,23 +144,19 @@ def girth(t: ThetaGraph):
 
 def components_after_removal(t: ThetaGraph, removed) -> int:
     """Connected components of the subgraph induced on V minus removed."""
-    removed = set(removed)
     n = t.n_vertices
-    seen = [False] * n
-    count = 0
-    for start in range(n):
-        if start in removed or seen[start]:
-            continue
+    removed = np.fromiter(removed, dtype=np.int64)
+    bad = removed[(removed < 0) | (removed >= n)]
+    if bad.size:
+        raise IndexError(f"vertex index out of range: {bad[0]}")
+    unseen = np.ones(n, dtype=bool)
+    unseen[removed] = False
+    isolated = unseen & ~t.adj[:, unseen].any(axis=1)  # components of one vertex
+    count = int(isolated.sum())
+    unseen &= ~isolated
+    while unseen.any():
         count += 1
-        seen[start] = True
-        q = deque([start])
-        while q:
-            u = q.popleft()
-            for w in np.flatnonzero(t.adj[u]):
-                w = int(w)
-                if not seen[w] and w not in removed:
-                    seen[w] = True
-                    q.append(w)
+        unseen &= _bfs_distances(t, int(np.argmax(unseen)), unseen) < 0
     return count
 
 
@@ -185,10 +182,14 @@ def is_eulerian(t: ThetaGraph) -> bool:
     return graph_side
 
 
+def _complete_graph_side(t: ThetaGraph) -> bool:
+    n = t.n_vertices
+    return t.edge_count == n * (n - 1) // 2
+
+
 def is_complete(t: ThetaGraph) -> bool:
     """Complete iff the group has no element of composite order."""
-    n = t.n_vertices
-    graph_side = t.edge_count == n * (n - 1) // 2
+    graph_side = _complete_graph_side(t)
     group_side = all(is_one_or_prime(o) for o in t.group.orders)
     if graph_side != group_side:
         raise _cross_check_failed(
@@ -267,61 +268,41 @@ def validate_cycle(t: ThetaGraph, cycle) -> bool:
     return all(t.adj[cycle[k], cycle[(k + 1) % n]] for k in range(n))
 
 
-def _nonadjacent_pairs(t: ThetaGraph):
-    n = t.n_vertices
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not t.adj[i, j]:
-                yield i, j
-
-
-def _ore_condition_holds(t: ThetaGraph) -> bool:
-    n = t.n_vertices
-    return all(t.degrees[i] + t.degrees[j] >= n for i, j in _nonadjacent_pairs(t))
-
-
-def _ore_cycle(t: ThetaGraph) -> tuple[int, ...]:
+def _ore_cycle(t: ThetaGraph, missing: tuple[np.ndarray, np.ndarray]) -> tuple[int, ...]:
     """Constructive cycle under Ore's condition.
 
     Start from the trivial cycle of the complete closure and strip the
-    missing edges one by one; whenever the cycle uses a missing edge (u, v),
-    the degree-sum bound guarantees a crossing pair that lets the cycle be
-    rewired without it.
+    missing edges (ascending pairs i < j, in row-major order) one by one;
+    whenever the cycle uses a missing edge (u, v), the degree-sum bound
+    guarantees a crossing pair that lets the cycle be rewired without it.
     """
     n = t.n_vertices
-    cycle = list(range(n))
-    extra = {(i, j) for i, j in _nonadjacent_pairs(t)}
-
-    def linked(a: int, b: int) -> bool:
-        if t.adj[a, b]:
-            return True
-        return (a, b) in extra or (b, a) in extra
-
-    for e in sorted(extra):
-        extra.discard(e)
-        u, v = e
-        pos = {x: k for k, x in enumerate(cycle)}
-        ku, kv = pos[u], pos[v]
+    cycle = np.arange(n)
+    pos = np.arange(n)  # pos[x]: the place of vertex x on the cycle
+    linked = np.ones((n, n), dtype=bool)  # the closure: adj plus the edges not yet stripped
+    for u, v in zip(*(a.tolist() for a in missing)):
+        linked[u, v] = linked[v, u] = False
+        ku, kv = int(pos[u]), int(pos[v])
         if (kv - ku) % n == 1:
             pass  # cycle runs u -> v
         elif (ku - kv) % n == 1:
             u, v = v, u
-            ku, kv = kv, ku
+            kv = ku
         else:
             continue  # cycle does not use this edge
         # path x_0..x_{n-1} from u to v around the other side of the cycle
-        path = list(reversed(cycle[kv:] + cycle[:kv]))
-        rewired = False
-        for j in range(1, n - 1):
-            if linked(u, path[j + 1]) and linked(v, path[j]):
-                cycle = path[: j + 1] + path[j + 1 :][::-1]
-                rewired = True
-                break
-        if not rewired:
+        path = np.roll(cycle, -kv)[::-1]
+        # first j in 1..n-2 with x_0 ~ x_{j+1} and x_{n-1} ~ x_j
+        crossing = np.flatnonzero(linked[u, path[2:]] & linked[v, path[1:-1]])
+        if not crossing.size:
             raise CrossCheckError("Ore rewiring failed; degree-sum bound violated")
+        j = int(crossing[0]) + 1
+        cycle = np.concatenate([path[: j + 1], path[j + 1 :][::-1]])
+        pos[cycle] = np.arange(n)
+    cycle = tuple(cycle.tolist())
     if not validate_cycle(t, cycle):
         raise CrossCheckError("Ore construction produced an invalid cycle")
-    return tuple(cycle)
+    return cycle
 
 
 def _toughness_refutation(t: ThetaGraph) -> tuple[frozenset[int], int] | None:
@@ -397,8 +378,9 @@ def is_hamiltonian(t: ThetaGraph, node_budget: int = DEFAULT_NODE_BUDGET) -> Ham
         return HamiltonianVerdict("no", None, "exact_search", 0)
     if not is_connected(t):
         return HamiltonianVerdict("no", None, "exact_search", 0)
-    if _ore_condition_holds(t):
-        return HamiltonianVerdict("yes", _ore_cycle(t), "ore_sufficient", 0)
+    missing = np.nonzero(np.triu(~t.adj, k=1))
+    if bool((t.degrees[missing[0]] + t.degrees[missing[1]] >= n).all()):
+        return HamiltonianVerdict("yes", _ore_cycle(t, missing), "ore_sufficient", 0)
     refutation = _toughness_refutation(t)
     if refutation is not None:
         cut, _ = refutation
@@ -529,11 +511,6 @@ def _twin_classes(t: ThetaGraph) -> list[np.ndarray]:
     _, class_of = np.unique(label, return_inverse=True)
     order = np.argsort(class_of, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(class_of[order])) + 1)
-
-
-def _complete_graph_side(t: ThetaGraph) -> bool:
-    n = t.n_vertices
-    return t.edge_count == n * (n - 1) // 2
 
 
 def vertex_connectivity(t: ThetaGraph) -> ConnectivityResult:

@@ -290,19 +290,31 @@ def _check_partition(t: ThetaGraph, blocks) -> list[list[int]]:
     return blocks
 
 
+def _block_counts(t: ThetaGraph, blocks) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """Neighbour counts into each block, from one n x k count matrix.
+
+    Returns the k x k counts read off each block's first vertex, and the
+    first pair of same-block vertices whose counts differ (block by block,
+    then target block by target block, then vertex by vertex), or None when
+    the partition is equitable."""
+    indicator = np.zeros((t.n_vertices, len(blocks)), dtype=np.int64)
+    for j, blk in enumerate(blocks):
+        indicator[blk, j] = 1
+    per_vertex = t.adj.astype(np.int64) @ indicator
+    counts = per_vertex[[blk[0] for blk in blocks]]
+    for blk in blocks:
+        rows = per_vertex[blk]
+        _, v = np.nonzero((rows[1:] != rows[0]).T)
+        if v.size:
+            return counts, (blk[0], blk[int(v[0]) + 1])
+    return counts, None
+
+
 def is_equitable(t: ThetaGraph, blocks) -> tuple[bool, tuple[int, int] | None]:
     """True when neighbor counts into every block are constant within each
     block; otherwise a witness pair of same-block vertices that differ."""
-    blocks = _check_partition(t, blocks)
-    for blk in blocks:
-        ref = blk[0]
-        for other_blk in blocks:
-            sel = np.asarray(other_blk)
-            ref_count = int(t.adj[ref, sel].sum())
-            for v in blk[1:]:
-                if int(t.adj[v, sel].sum()) != ref_count:
-                    return False, (ref, v)
-    return True, None
+    _, witness = _block_counts(t, _check_partition(t, blocks))
+    return witness is None, witness
 
 
 def quotient_matrix(t: ThetaGraph, blocks) -> EquitablePartition:
@@ -312,25 +324,16 @@ def quotient_matrix(t: ThetaGraph, blocks) -> EquitablePartition:
     vertex degree on top of b_ii, matching the quotient of D + A.
     """
     blocks = _check_partition(t, blocks)
-    ok, witness = is_equitable(t, blocks)
-    if not ok:
+    counts, witness = _block_counts(t, blocks)
+    if witness is not None:
         raise ValueError(
             f"partition is not equitable: vertices {witness[0]} and {witness[1]} "
             "in one block have different neighbor counts"
         )
-    k = len(blocks)
-    counts = np.zeros((k, k), dtype=np.int64)
-    for i, blk in enumerate(blocks):
-        ref = blk[0]
-        for j, other in enumerate(blocks):
-            counts[i, j] = int(t.adj[ref, np.asarray(other)].sum())
-    quotient = counts.copy()
-    for i in range(k):
-        quotient[i, i] = counts[i, i] + counts[i, :].sum()
     return EquitablePartition(
         blocks=tuple(tuple(blk) for blk in blocks),
         counts=counts,
-        quotient=quotient,
+        quotient=counts + np.diag(counts.sum(axis=1)),
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import networkx as nx
@@ -268,6 +269,24 @@ def test_search_deeper_than_the_recursion_limit():
     assert validate_cycle(t, cycle)
 
 
+# sha256 of ",".join(cycle) for the Ore certificate cycles, recorded before
+# the non-edge enumeration was vectorised
+ORE_CYCLE_SHA256 = [
+    (dihedral(60), "e8edef8902fd861761049e2291400fddaba90bb35dd93c076b516de8d3482139"),
+    (dicyclic(15), "99624485c1132fb79b563a710a204f132c0f0dff2e491e3ee767df82025330b4"),
+    (heisenberg(7), "d562ab56dea33208322979ff6fdf05f92066c55111c0778e93f493ee9a3629eb"),
+    (dihedral(35), "a53fba24f59ec1290518a017bd49b6d553be1d266a3688cf469fe645c91315ae"),
+    (cyclic(1201), "09cd9ee2580f25fed834a7f9c3e8acfe999dd5bf26d3273333a5a25c75d763c8"),
+]
+
+
+@pytest.mark.parametrize("g, digest", ORE_CYCLE_SHA256)
+def test_ore_cycles_are_pinned(g, digest):
+    verdict = is_hamiltonian(build_theta(g))
+    assert verdict.method == "ore_sufficient"
+    assert hashlib.sha256(",".join(map(str, verdict.cycle)).encode()).hexdigest() == digest
+
+
 def test_hamiltonian_brute_force_agreement_small():
     # the pipeline verdict must agree with a plain exhaustive search
     for g in (cyclic(4), cyclic(6), cyclic(8), cyclic(9), dihedral(4), dicyclic(2)):
@@ -293,6 +312,13 @@ def test_components_after_removal_examples():
     assert components_after_removal(t6, nongen) == 2
     assert components_after_removal(t6, set()) == 1
     assert components_after_removal(t6, set(range(6))) == 0
+
+
+@pytest.mark.parametrize("removed", [{6}, {-1}, [0, 7]])
+def test_components_after_removal_rejects_bad_indices(removed):
+    # numpy would wrap a negative index to the end silently
+    with pytest.raises(IndexError):
+        components_after_removal(build_theta(cyclic(6)), removed)
 
 
 # ---------------------------------------------------------------------------

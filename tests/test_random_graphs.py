@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thetagraph.graph import build_theta, min_degree
-from thetagraph.groups import from_orders
+from thetagraph.groups import FAMILIES, enumerate_groups, from_orders
 from thetagraph.numtheory import is_one_or_prime
 from thetagraph.properties import (
     CrossCheckError,
@@ -28,6 +28,7 @@ from thetagraph.properties import (
     validate_cycle,
     vertex_connectivity,
 )
+from thetagraph.verify import corrupting_builder
 
 ORDER_POOL = (2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 25, 35)
 
@@ -88,6 +89,42 @@ def test_hamiltonian_pipeline_matches_exhaustive_search(orders):
         assert validate_cycle(t, verdict.cycle)
     if verdict.witness_cut is not None:
         assert components_after_removal(t, verdict.witness_cut) > len(verdict.witness_cut)
+
+
+# ---------------------------------------------------------------------------
+# Ore's condition against a brute-force pair loop
+# ---------------------------------------------------------------------------
+
+
+def _ore_holds_brute_force(t):
+    """deg(u) + deg(v) >= n for every non-adjacent pair, on n >= 3 vertices."""
+    n = t.n_vertices
+    degrees = t.adj.sum(axis=1).tolist()
+    return n >= 3 and all(
+        degrees[u] + degrees[v] >= n
+        for u in range(n)
+        for v in range(u + 1, n)
+        if not t.adj[u, v]
+    )
+
+
+def _assert_ore_route_matches_oracle(t):
+    verdict = is_hamiltonian(t, node_budget=1)
+    assert (verdict.method == "ore_sufficient") == _ore_holds_brute_force(t)
+    if verdict.method == "ore_sufficient":
+        assert validate_cycle(t, verdict.cycle)
+
+
+@pytest.mark.parametrize("build", [build_theta, corrupting_builder])
+def test_ore_route_matches_brute_force_on_groups(build):
+    for _, _, _, g in enumerate_groups(64, FAMILIES):
+        _assert_ore_route_matches_oracle(build(g))
+
+
+@settings(deadline=None, max_examples=60)
+@given(orders_strategy)
+def test_ore_route_matches_brute_force_on_any_order_list(orders):
+    _assert_ore_route_matches_oracle(_graph_from_orders(orders))
 
 
 # ---------------------------------------------------------------------------
