@@ -60,6 +60,8 @@ def _configure_logging() -> None:
     if level_name not in levels:
         raise SystemExit2(f"THETA_LOG must be one of error|warn|info|debug, got {level_name!r}")
     logging.basicConfig(level=levels[level_name], format="%(levelname)s %(name)s: %(message)s")
+    # set on the package logger too, as basicConfig leaves an already configured root alone
+    log.setLevel(levels[level_name])
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +112,11 @@ def parse_selector(text: str) -> groups.GroupSpec:
                 break
         if split_at < 0:
             raise SystemExit2(f"malformed product selector: {text!r}")
-        return groups.direct_product(
-            parse_selector(inner[:split_at]), parse_selector(inner[split_at + 1 :])
-        )
+        left, right = parse_selector(inner[:split_at]), parse_selector(inner[split_at + 1 :])
+        try:
+            return groups.direct_product(left, right)
+        except ValueError as exc:
+            raise SystemExit2(f"invalid selector {text!r}: {exc}")
     head, _, rest = text.partition(":")
     try:
         if head == "cyclic":
@@ -200,12 +204,20 @@ def _cmd_spectrum(args) -> int:
 def _cmd_export(args) -> int:
     g = _group_from_args(args)
     t = build_theta(g)
+    started = time.perf_counter()
     if args.format == "dot":
-        _emit(export_dot(t), args.out)
+        text = export_dot(t)
     elif args.format == "json":
-        _emit(export_json(t), args.out)
+        text = export_json(t)
     else:
         raise SystemExit2(f"unknown export format {args.format!r}")
+    seconds = time.perf_counter() - started
+    if log.isEnabledFor(logging.DEBUG):  # counting bytes copies the text
+        log.debug(
+            "export %s: %d vertices, %d edges, %d bytes, %.4f s serialising",
+            args.format, t.n_vertices, t.edge_count, len(text.encode("utf-8")), seconds,
+        )
+    _emit(text, args.out)
     return EXIT_OK
 
 

@@ -2,9 +2,10 @@
 
 Vertices are the group elements; two distinct vertices are joined exactly
 when the gcd of their element orders is 1 or a prime. The graph is stored
-as a dense symmetric boolean matrix -- every target graph here has at most
-a few hundred vertices, so O(1) adjacency and trivially cached degrees beat
-any sparse representation.
+as a dense symmetric boolean matrix: analysed graphs have a few hundred
+vertices, exported ones a few thousand, and ``groups.MAX_ELEMENTS`` (4096)
+keeps the matrix within 16 MiB, so O(1) adjacency and trivially cached
+degrees beat any sparse representation.
 """
 
 from __future__ import annotations
@@ -117,29 +118,71 @@ def min_degree(t: ThetaGraph) -> int:
     return int(t.degrees.min())
 
 
+def _edge_rows(adj: np.ndarray, heads: list[str], tails: list[str], sep: str) -> list[str]:
+    """One text per row i with edges: its edges i < j as ``heads[i] + tails[j]``,
+    ascending, joined by ``sep``; rows ascending.
+
+    The head goes into the row's separator, so the edges of a row are
+    formatted by one C-level join, with one Python step per row, not per edge.
+    """
+    upper = np.triu(adj, k=1)
+    tail_of = np.array(tails, dtype=object)
+    rows = []
+    for i in np.flatnonzero(upper.any(axis=1)).tolist():
+        head = heads[i]
+        rows.append(head + (sep + head).join(tail_of[upper[i]].tolist()))
+    return rows
+
+
+def _dot_id(label: str) -> str:
+    """A label as a quoted DOT ID, with ``\\`` and ``"`` escaped."""
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(t: ThetaGraph) -> str:
     """Undirected DOT document; nodes named by group labels, edges i<j."""
+    ids = [_dot_id(label) for label in t.group.labels]
     lines = ["graph theta {"]
-    for label in t.group.labels:
-        lines.append(f'  "{label}";')
-    for i, j in t.edges():
-        lines.append(f'  "{t.group.labels[i]}" -- "{t.group.labels[j]}";')
+    lines += [f"  {v};" for v in ids]
+    lines += _edge_rows(t.adj, [f"  {v} -- " for v in ids], [f"{v};" for v in ids], "\n")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def export_json(t: ThetaGraph) -> str:
-    """Graph as a JSON document: metadata, labels, orders, edges, degrees."""
-    doc = {
-        "group": {
-            "family": t.group.family,
-            "params": t.group.params,
-            "order": t.group.size,
+    """Graph as a JSON document: metadata, labels, orders, edges, degrees.
+
+    The text equals ``json.dumps(doc, indent=2) + "\\n"`` with ``edges`` a
+    list of ``[i, j]`` pairs; only the small fields go through ``json``.
+    """
+    before = json.dumps(
+        {
+            "group": {
+                "family": t.group.family,
+                "params": t.group.params,
+                "order": t.group.size,
+            },
+            "labels": list(t.group.labels),
+            "orders": list(t.group.orders),
         },
-        "labels": list(t.group.labels),
-        "orders": list(t.group.orders),
-        "edges": [[i, j] for i, j in t.edges()],
-        "degrees": t.degrees.tolist(),
-        "warnings": [{"code": c, "message": m} for c, m in t.warnings],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+        indent=2,
+    )
+    after = json.dumps(
+        {
+            "degrees": t.degrees.tolist(),
+            "warnings": [{"code": c, "message": m} for c, m in t.warnings],
+        },
+        indent=2,
+    )
+    n = t.n_vertices
+    rows = _edge_rows(
+        t.adj, [f"    [\n      {i},\n      " for i in range(n)], [f"{j}\n    ]" for j in range(n)], ",\n"
+    )
+    if rows:
+        rows[0] = '  "edges": [\n' + rows[0]
+        rows[-1] += "\n  ]"
+    else:
+        rows = ['  "edges": []']
+    # both dumps are "{\n" + top-level members + "\n}"; the edge rows go between
+    # them, in one join so that the edge text is copied only once
+    return ",\n".join([before[:-2], *rows, after[2:] + "\n"])

@@ -17,6 +17,7 @@ from .numtheory import is_prime
 __all__ = [
     "FAMILIES",
     "GroupSpec",
+    "MAX_ELEMENTS",
     "cyclic",
     "dicyclic",
     "dihedral",
@@ -32,6 +33,10 @@ __all__ = [
 FAMILIES = ("cyclic", "dihedral", "dicyclic", "elementary_abelian", "heisenberg", "product")
 # the graph is built over int64 orders, and primality is exact far beyond this
 MAX_ORDER = 2**63 - 1
+# every command holds dense n x n matrices: at 2**12 elements the adjacency is
+# 16 MiB, each 64-bit matrix of the spectrum 128 MiB, and the JSON export of
+# a complete graph 8.4 million edges (300 MB of text, about 0.9 GB peak)
+MAX_ELEMENTS = 2**12
 
 
 @dataclass(frozen=True)
@@ -81,6 +86,12 @@ class GroupSpec:
         return f"{self.family}({args})"
 
 
+def _check_size(name: str, size: int) -> None:
+    """Refuse a group above MAX_ELEMENTS before any element is built."""
+    if size > MAX_ELEMENTS:
+        raise ValueError(f"{name} would have more than MAX_ELEMENTS = {MAX_ELEMENTS} elements")
+
+
 def order_profile(g: GroupSpec) -> dict[int, int]:
     """Multiset of element orders as {order: count}, ascending by order."""
     counts: dict[int, int] = {}
@@ -93,6 +104,7 @@ def cyclic(n: int) -> GroupSpec:
     """Z_n under addition; element k has order n / gcd(n, k)."""
     if n < 1:
         raise ValueError(f"cyclic requires n >= 1, got {n}")
+    _check_size(f"cyclic({n})", n)
     orders = tuple(n // gcd(n, k) for k in range(n))
     labels = tuple(str(k) for k in range(n))
     return GroupSpec("cyclic", {"n": n}, labels, orders)
@@ -113,6 +125,7 @@ def dihedral(n: int) -> GroupSpec:
     """
     if n < 1:
         raise ValueError(f"dihedral requires n >= 1, got {n}")
+    _check_size(f"dihedral({n})", 2 * n)
     rot_orders = [n // gcd(n, i) for i in range(n)]
     rot_labels = [_power_label("r", i) for i in range(n)]
     ref_orders = [2] * n
@@ -135,6 +148,7 @@ def dicyclic(n: int) -> GroupSpec:
     """
     if n < 2:
         raise ValueError(f"dicyclic requires n >= 2, got {n}")
+    _check_size(f"dicyclic({n})", 4 * n)
     a_orders = [2 * n // gcd(2 * n, k) for k in range(2 * n)]
     a_labels = [_power_label("a", k) for k in range(2 * n)]
     x_orders = [4] * (2 * n)
@@ -153,6 +167,8 @@ def elementary_abelian(p: int, m: int) -> GroupSpec:
         raise ValueError(f"elementary_abelian requires a prime p, got {p}")
     if m < 1:
         raise ValueError(f"elementary_abelian requires m >= 1, got {m}")
+    # p >= 2, so p**m is over the limit once m reaches its bit length; a huge m is never raised
+    _check_size(f"elementary_abelian({p},{m})", p ** min(m, MAX_ELEMENTS.bit_length()))
     size = p**m
     vectors = [[(k // p**j) % p for j in range(m)] for k in range(size)]
     labels = tuple(",".join(str(c) for c in v) for v in vectors)
@@ -168,6 +184,7 @@ def heisenberg(p: int) -> GroupSpec:
     """
     if not is_prime(p):
         raise ValueError(f"heisenberg requires a prime p, got {p}")
+    _check_size(f"heisenberg({p})", p**3)
 
     def mul(m1, m2):
         a1, b1, c1 = m1
@@ -193,6 +210,7 @@ def heisenberg(p: int) -> GroupSpec:
 
 def direct_product(g: GroupSpec, h: GroupSpec) -> GroupSpec:
     """G x H; the order of (a, b) is lcm(o(a), o(b))."""
+    _check_size(f"product({g.describe()},{h.describe()})", g.size * h.size)
     labels = []
     orders = []
     for la, oa in zip(g.labels, g.orders):
@@ -221,6 +239,7 @@ def from_orders(labels: list[str], orders: list[int]) -> GroupSpec:
         raise ValueError("labels and orders must have equal length")
     if not labels:
         raise ValueError("empty group input")
+    _check_size(f"custom(order={len(orders)})", len(orders))
     identities = [i for i, o in enumerate(orders) if o == 1]
     if len(identities) != 1:
         raise ValueError(f"expected exactly one order-1 element, found {len(identities)}")
@@ -250,8 +269,10 @@ def enumerate_groups(max_order: int, families) -> Iterator[tuple[int, str, str, 
     Yields (order, family, params, GroupSpec) sorted by (order, family,
     params), where params is a compact text such as ``n=6``, ``p=3,m=2`` or
     ``cyclic(2)xcyclic(3)``. Each spec is built only when it is yielded; an
-    unknown family raises ValueError at once.
+    unknown family or a max_order above MAX_ELEMENTS raises ValueError at once.
     """
+    if max_order > MAX_ELEMENTS:
+        raise ValueError(f"max_order {max_order} is above MAX_ELEMENTS = {MAX_ELEMENTS}")
     for f in families:
         if f not in FAMILIES:
             raise ValueError(f"unknown family {f!r}; choose from {', '.join(FAMILIES)}")

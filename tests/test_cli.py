@@ -1,5 +1,7 @@
 import csv
 import json
+import logging
+import time
 
 import pytest
 
@@ -152,6 +154,34 @@ def test_export_rejects_bad_custom_file(tmp_path, capsys):
     path.write_text('{"labels": ["a"]}')
     code, _, err = run_cli(capsys, "export", "--custom", str(path), "--format", "dot")
     assert code == 1 and "custom" in err
+
+
+@pytest.mark.parametrize(
+    "selector",
+    [("--cyclic", "1000000000"), ("--heisenberg", "1009"), ("--product", "cyclic:200", "cyclic:200")],
+)
+def test_export_refuses_groups_above_max_elements_at_once(capsys, selector):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "export", "--format", "json", *selector)
+    assert time.perf_counter() - started < 1.0
+    assert code == 1 and out == ""
+    assert "MAX_ELEMENTS" in err
+
+
+def test_export_logs_one_debug_line_and_leaves_output_unchanged(monkeypatch, capsys, caplog):
+    argv = ("export", "--format", "json", "--dicyclic", "3")
+    monkeypatch.delenv("THETA_LOG", raising=False)
+    caplog.set_level(logging.DEBUG)
+    _, plain, _ = run_cli(capsys, *argv)
+    assert not [r for r in caplog.records if r.name == "thetagraph"]
+    monkeypatch.setenv("THETA_LOG", "debug")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == plain
+    records = [r for r in caplog.records if r.name == "thetagraph"]
+    assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    message = records[0].getMessage()
+    assert message.startswith(f"export json: 12 vertices, 50 edges, {len(plain.encode())} bytes, ")
+    assert message.endswith(" s serialising")
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import thetagraph.graph
 from thetagraph.graph import (
@@ -15,11 +18,13 @@ from thetagraph.graph import (
     prime_order_set,
 )
 from thetagraph.groups import (
+    FAMILIES,
     cyclic,
     dicyclic,
     dihedral,
     direct_product,
     elementary_abelian,
+    enumerate_groups,
     from_orders,
     heisenberg,
 )
@@ -116,6 +121,105 @@ def test_export_json_roundtrip_bit_for_bit():
     assert np.array_equal(rebuilt, t.adj)
     assert doc["degrees"] == t.degrees.tolist()
     assert doc["orders"] == list(t.group.orders)
+
+
+# ---------------------------------------------------------------------------
+# exporters against the per-edge serialisers they replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_export_dot(t):
+    lines = ["graph theta {"]
+    for label in t.group.labels:
+        lines.append(f'  "{label}";')
+    for i, j in t.edges():
+        lines.append(f'  "{t.group.labels[i]}" -- "{t.group.labels[j]}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_export_json(t):
+    doc = {
+        "group": {
+            "family": t.group.family,
+            "params": t.group.params,
+            "order": t.group.size,
+        },
+        "labels": list(t.group.labels),
+        "orders": list(t.group.orders),
+        "edges": [[i, j] for i, j in t.edges()],
+        "degrees": t.degrees.tolist(),
+        "warnings": [{"code": c, "message": m} for c, m in t.warnings],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _assert_exports_match_reference(t):
+    assert export_json(t) == _reference_export_json(t)
+    assert export_dot(t) == _reference_export_dot(t)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        cyclic(1),
+        cyclic(2),
+        dicyclic(3),
+        heisenberg(5),
+        direct_product(cyclic(6), cyclic(35)),
+        from_orders(["e", "α", "β→γ", "δ"], [1, 2, 4, 4]),
+    ],
+    ids=lambda g: g.describe(),
+)
+def test_exports_match_per_edge_reference(g):
+    _assert_exports_match_reference(build_theta(g))
+
+
+def test_exports_match_per_edge_reference_on_every_group_to_32():
+    for *_, g in enumerate_groups(32, FAMILIES):
+        _assert_exports_match_reference(build_theta(g))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.sampled_from((2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 25, 35)), min_size=1, max_size=18))
+def test_exports_match_per_edge_reference_on_any_order_list(orders):
+    # the order lists of tests/test_random_graphs.py
+    labels = [f"g{k}" for k in range(len(orders) + 1)]
+    _assert_exports_match_reference(build_theta(from_orders(labels, [1] + orders)))
+
+
+def test_export_without_edges_keeps_empty_edge_list():
+    t = build_theta(cyclic(1))
+    assert '\n  "edges": [],\n' in export_json(t)
+    assert export_dot(t) == 'graph theta {\n  "0";\n}\n'
+
+
+def test_export_sha256_pinned_for_heisenberg_5():
+    # recorded from the per-edge serialisers
+    t = build_theta(heisenberg(5))
+    assert hashlib.sha256(export_json(t).encode()).hexdigest() == (
+        "e3863869b5eddca109f8a522506868f106787a7e59319c8c65180b71fe9d7f3a"
+    )
+    assert hashlib.sha256(export_dot(t).encode()).hexdigest() == (
+        "ecb0bdeaf78c885b59c6bcb04c10de55a42278f44dda8bbb5b2e2e583d157b0b"
+    )
+
+
+_DOT_QUOTED_ID = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+
+def test_export_dot_escapes_quotes_and_backslashes_in_ids():
+    labels = ["e", 'a"b', "c\\"]
+    t = build_theta(from_orders(labels, [1, 2, 2]))
+    text = export_dot(t)
+    body = text.splitlines()[1:-1]
+    ids = []
+    for line in body:
+        # a line is one quoted ID or two joined by " -- ", each well-formed, then ";"
+        assert re.fullmatch(rf'  {_DOT_QUOTED_ID.pattern}( -- {_DOT_QUOTED_ID.pattern})?;', line), line
+        ids.append([re.sub(r"\\(.)", r"\1", m) for m in _DOT_QUOTED_ID.findall(line)])
+    assert ids[:3] == [["e"], ['a"b'], ["c\\"]]
+    assert ids[3:] == [[labels[i], labels[j]] for i, j in t.edges()]
 
 
 def test_export_json_edge_counts():

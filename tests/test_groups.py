@@ -7,6 +7,7 @@ import pytest
 
 from thetagraph.graph import build_theta
 from thetagraph.groups import (
+    MAX_ELEMENTS,
     cyclic,
     dicyclic,
     dihedral,
@@ -245,6 +246,39 @@ def test_from_orders_caps_orders_at_int64():
     assert t.edge_count == 1
     with pytest.raises(ValueError, match="at most 2"):
         from_orders(["e", "a"], [1, 2**63])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cyclic(10**9),
+        lambda: dihedral(MAX_ELEMENTS // 2 + 1),
+        lambda: dicyclic(10**12),
+        lambda: elementary_abelian(3, 10**9),
+        lambda: heisenberg(1009),
+        lambda: direct_product(cyclic(200), cyclic(200)),
+        lambda: from_orders([str(k) for k in range(MAX_ELEMENTS + 1)], [1] + [2] * MAX_ELEMENTS),
+    ],
+    ids=["cyclic", "dihedral", "dicyclic", "elementary_abelian", "heisenberg", "product", "custom"],
+)
+def test_constructors_refuse_groups_above_max_elements_before_building(build):
+    # without the cap each of these builds every element first: minutes or
+    # an exhausted memory instead of an error
+    with pytest.raises(ValueError, match="MAX_ELEMENTS"):
+        build()
+
+
+def test_max_elements_boundary_and_largest_built_in_groups_still_build():
+    assert cyclic(MAX_ELEMENTS).size == MAX_ELEMENTS
+    assert dihedral(MAX_ELEMENTS // 2).size == MAX_ELEMENTS
+    assert cyclic(1201).size == 1201
+    assert heisenberg(11).size == 1331
+    assert direct_product(cyclic(30), cyclic(35)).size == 1050
+
+
+def test_enumerate_groups_rejects_max_order_above_max_elements():
+    with pytest.raises(ValueError, match="MAX_ELEMENTS"):
+        enumerate_groups(MAX_ELEMENTS + 1, ["cyclic"])
 
 
 def test_order_profile_examples():
