@@ -39,14 +39,8 @@ def spectrum_section(t: ThetaGraph) -> dict:
     q = spectra.build_Q(t)
     numeric = spectra.eig_sym(q)
     section: dict = {"numeric": _spectrum_entries(numeric)}
-    family = t.group.family
-    n = t.group.params.get("n")
     try:
-        if family not in ("cyclic", "dihedral") or n is None:
-            raise spectra.UnsupportedFamilyError(
-                f"no closed-form spectrum for family {family!r}"
-            )
-        closed = spectra.closed_form_spectrum(family, n)
+        closed = spectra.closed_form_spectrum(t.group.family, t.group.params.get("n"))
     except spectra.UnsupportedFamilyError as exc:
         section["closed_form"] = None
         section["closed_form_supported"] = False
@@ -62,7 +56,6 @@ def spectrum_section(t: ThetaGraph) -> dict:
 def analyze_group(
     g: GroupSpec,
     hamiltonian_budget: int = props.DEFAULT_NODE_BUDGET,
-    include_spectrum: bool = True,
     timestamp: bool = True,
 ) -> dict:
     t = build_theta(g)
@@ -136,9 +129,6 @@ def analyze_group(
         },
         "open_problem_class": classification,
     }
-
-    if include_spectrum:
-        report["spectrum"] = spectrum_section(t)
-
+    report["spectrum"] = spectrum_section(t)
     report["warnings"] = [{"code": c, "message": m} for c, m in t.warnings]
     return report

@@ -60,7 +60,6 @@ class PrimeOrderSet:
     """Identity plus all elements of prime order."""
 
     indices: frozenset[int]
-    includes_identity: bool = True
 
     @property
     def size(self) -> int:
@@ -71,15 +70,16 @@ def build_theta(g: GroupSpec) -> ThetaGraph:
     """Construct the graph from a group's order profile.
 
     Adjacency is decided once per pair of distinct orders: a gcd table over
-    the k distinct orders, primality of each distinct gcd, then expansion to
-    the n x n matrix by each element's order class. Groups of size <= 2 are
-    accepted but flagged, since the defining setting assumes |G| > 2.
+    the k order classes of the group, primality of each distinct gcd, then
+    expansion to the n x n matrix by each element's order class. Groups of
+    size <= 2 are accepted but flagged, since the defining setting assumes
+    |G| > 2.
     """
-    classes, class_of = np.unique(np.asarray(g.orders, dtype=np.int64), return_inverse=True)
-    gcds, gcd_of = np.unique(np.gcd.outer(classes, classes), return_inverse=True)
+    oc = g.order_classes
+    k = len(oc.orders)
+    gcds, gcd_of = np.unique(np.gcd.outer(oc.orders, oc.orders), return_inverse=True)
     edge = np.array([is_one_or_prime(v) for v in gcds.tolist()])
-    class_adj = edge[gcd_of].reshape(len(classes), len(classes))
-    adj = class_adj[np.ix_(class_of, class_of)]
+    adj = edge[gcd_of].reshape(k, k)[np.ix_(oc.class_of, oc.class_of)]
     np.fill_diagonal(adj, False)
     degrees = adj.sum(axis=1).astype(np.int64)
     n = len(g.orders)
@@ -102,10 +102,8 @@ def adjacent(t: ThetaGraph, i: int, j: int) -> bool:
 
 def prime_order_set(t: ThetaGraph) -> PrimeOrderSet:
     """S(G): the identity together with all prime-order elements."""
-    idx = frozenset(
-        i for i, o in enumerate(t.group.orders) if is_one_or_prime(o)
-    )
-    return PrimeOrderSet(indices=idx)
+    oc = t.group.order_classes
+    return PrimeOrderSet(indices=frozenset(np.flatnonzero(oc.one_or_prime[oc.class_of]).tolist()))
 
 
 def degree(t: ThetaGraph, i: int) -> int:

@@ -10,14 +10,18 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd, lcm
 
-from .numtheory import is_prime
+import numpy as np
+
+from .numtheory import is_one_or_prime, is_prime
 
 __all__ = [
     "FAMILIES",
     "GroupSpec",
     "MAX_ELEMENTS",
+    "OrderClasses",
     "cyclic",
     "dicyclic",
     "dihedral",
@@ -37,6 +41,15 @@ MAX_ORDER = 2**63 - 1
 # 16 MiB, each 64-bit matrix of the spectrum 128 MiB, and the JSON export of
 # a complete graph 8.4 million edges (300 MB of text, about 0.9 GB peak)
 MAX_ELEMENTS = 2**12
+
+
+@dataclass(frozen=True)
+class OrderClasses:
+    """A group's elements grouped by order; the arrays are read-only."""
+
+    orders: np.ndarray  # (k,) int64: the distinct element orders, ascending
+    class_of: np.ndarray  # (n,) the index in orders of each element's order
+    one_or_prime: np.ndarray  # (k,) bool: the class order is 1 or a prime
 
 
 @dataclass(frozen=True)
@@ -76,6 +89,17 @@ class GroupSpec:
     def size(self) -> int:
         return len(self.orders)
 
+    @cached_property
+    def order_classes(self) -> OrderClasses:
+        """The order classes, derived once per spec. Every group-side
+        criterion reads them, so primality is tested once per distinct
+        order, never once per element."""
+        orders, class_of = np.unique(np.asarray(self.orders, dtype=np.int64), return_inverse=True)
+        one_or_prime = np.array([is_one_or_prime(o) for o in orders.tolist()], dtype=bool)
+        for a in (orders, class_of, one_or_prime):
+            a.setflags(write=False)
+        return OrderClasses(orders, class_of, one_or_prime)
+
     def describe(self) -> str:
         """Compact constructor-style descriptor, e.g. ``cyclic(6)``."""
         if self.family == "product":
@@ -94,10 +118,8 @@ def _check_size(name: str, size: int) -> None:
 
 def order_profile(g: GroupSpec) -> dict[int, int]:
     """Multiset of element orders as {order: count}, ascending by order."""
-    counts: dict[int, int] = {}
-    for o in sorted(g.orders):
-        counts[o] = counts.get(o, 0) + 1
-    return counts
+    oc = g.order_classes
+    return dict(zip(oc.orders.tolist(), np.bincount(oc.class_of).tolist()))
 
 
 def cyclic(n: int) -> GroupSpec:

@@ -17,7 +17,6 @@ import networkx as nx
 import numpy as np
 
 from .graph import ThetaGraph, min_degree, prime_order_set
-from .numtheory import is_one_or_prime, is_prime
 
 __all__ = [
     "ConnectivityResult",
@@ -111,32 +110,30 @@ def diameter(t: ThetaGraph) -> int:
 def girth(t: ThetaGraph):
     """Length of a shortest cycle, or math.inf for forests.
 
-    A triangle test via A & A^2 settles girth 3 immediately; otherwise BFS
-    from every vertex, where a non-tree edge (u, w) closes a cycle of
-    length dist[u] + dist[w] + 1. The minimum over all roots is exact for
-    unweighted graphs.
+    A graph with c components is a forest iff it has n - c edges, and only
+    a graph with fewer than n edges can be one; that settles forests before
+    any search. A universal vertex, such as the identity, closes a triangle
+    with any edge that avoids it, and outside a forest such an edge exists.
+    Otherwise BFS from every root and read its levels: a vertex on level d
+    with two neighbours on level d - 1 bounds the girth by 2d, and an edge
+    inside level d bounds it by 2d + 1; a root on a shortest cycle meets its
+    length exactly, so the minimum over all roots is the girth.
     """
     n = t.n_vertices
-    if n >= 3 and bool((t.adj & (t.adj @ t.adj)).any()):
+    if t.edge_count < n and t.edge_count == n - components_after_removal(t, ()):
+        return math.inf
+    if bool((t.degrees == n - 1).any()):
         return 3
     best = math.inf
     for src in range(n):
-        dist = [-1] * n
-        parent = [-1] * n
-        dist[src] = 0
-        q = deque([src])
-        while q:
-            u = q.popleft()
-            if 2 * dist[u] >= best:
-                continue
-            for w in np.flatnonzero(t.adj[u]):
-                w = int(w)
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    q.append(w)
-                elif parent[u] != w:
-                    best = min(best, dist[u] + dist[w] + 1)
+        dist = _bfs_distances(t, src)
+        d = 1
+        while 2 * d < best and (level := dist == d).any():
+            if (t.adj[np.ix_(level, dist == d - 1)].sum(axis=1) >= 2).any():
+                best = 2 * d
+            elif t.adj[np.ix_(level, level)].any():
+                best = 2 * d + 1
+            d += 1
         if best == 3:
             return 3
     return best
@@ -167,12 +164,12 @@ def components_after_removal(t: ThetaGraph, removed) -> int:
 
 def is_eulerian(t: ThetaGraph) -> bool:
     """Eulerian iff connected with all degrees even iff (group side)
-    |G| is odd and every non-identity element has prime order."""
+    |G| is odd and every non-identity element has prime order.
+
+    The identity is the only element of order 1, so the group side is: |G|
+    odd and every order class of order 1 or a prime."""
     graph_side = is_connected(t) and bool((t.degrees % 2 == 0).all())
-    orders = t.group.orders
-    group_side = (len(orders) % 2 == 1) and all(
-        is_prime(o) for i, o in enumerate(orders) if i != t.group.identity_index
-    )
+    group_side = t.group.size % 2 == 1 and bool(t.group.order_classes.one_or_prime.all())
     if graph_side != group_side:
         raise _cross_check_failed(
             t,
@@ -190,7 +187,7 @@ def _complete_graph_side(t: ThetaGraph) -> bool:
 def is_complete(t: ThetaGraph) -> bool:
     """Complete iff the group has no element of composite order."""
     graph_side = _complete_graph_side(t)
-    group_side = all(is_one_or_prime(o) for o in t.group.orders)
+    group_side = bool(t.group.order_classes.one_or_prime.all())
     if graph_side != group_side:
         raise _cross_check_failed(
             t,
@@ -204,7 +201,8 @@ def is_singleton_dominating(t: ThetaGraph, v: int) -> bool:
     """{v} dominates iff o(v) is 1 or prime iff v is adjacent to all others."""
     if not 0 <= v < t.n_vertices:
         raise IndexError(f"vertex index out of range: {v}")
-    group_side = is_one_or_prime(t.group.orders[v])
+    oc = t.group.order_classes
+    group_side = bool(oc.one_or_prime[oc.class_of[v]])
     graph_side = int(t.degrees[v]) == t.n_vertices - 1
     if graph_side != group_side:
         raise _cross_check_failed(
@@ -308,18 +306,17 @@ def _ore_cycle(t: ThetaGraph, missing: tuple[np.ndarray, np.ndarray]) -> tuple[i
 def _toughness_refutation(t: ThetaGraph) -> tuple[frozenset[int], int] | None:
     """Try the 1-toughness splits suggested by the order profile.
 
-    Candidates: the complement of each composite-order class (elements of
-    one composite order are pairwise non-adjacent), and the prime-order set
-    S(G). If removing a candidate leaves more components than vertices
-    removed, the graph is not 1-tough, hence not Hamiltonian.
+    Candidates: the complement of each composite-order class, ascending by
+    order (elements of one composite order are pairwise non-adjacent), and
+    the prime-order set S(G). If removing a candidate leaves more components
+    than vertices removed, the graph is not 1-tough, hence not Hamiltonian.
     """
     n = t.n_vertices
-    orders = t.group.orders
-    candidates: list[frozenset[int]] = []
-    for d in sorted({o for o in orders if not is_one_or_prime(o)}):
-        cls = frozenset(i for i, o in enumerate(orders) if o == d)
-        candidates.append(frozenset(range(n)) - cls)
-    candidates.append(frozenset(prime_order_set(t).indices))
+    oc = t.group.order_classes
+    candidates = [
+        frozenset(np.flatnonzero(oc.class_of != c).tolist()) for c in np.flatnonzero(~oc.one_or_prime)
+    ]
+    candidates.append(prime_order_set(t).indices)
     for cut in candidates:
         if not cut or len(cut) >= n:
             continue

@@ -213,7 +213,7 @@ def closed_form_spectrum(family: str, n: int) -> SpectrumResult:
     exactly before the result is built.
     """
     if family not in ("cyclic", "dihedral"):
-        raise UnsupportedFamilyError(f"no closed form for family {family!r}")
+        raise UnsupportedFamilyError(f"no closed-form spectrum for family {family!r}")
     shape, params = _order_shape(n)
     pairs: list[tuple[Surd, int]]
     if family == "cyclic":

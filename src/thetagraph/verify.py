@@ -126,75 +126,59 @@ def check_rotation_block_identity(build: Builder) -> CheckResult:
     return r
 
 
+def _theorem_quotient(t: ThetaGraph, family: str, n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The theorem's equitable partition of the cyclic or dihedral graph
+    and its closed-form quotient matrix.
+
+    The rotations split into V1 (the identity and the elements of order p
+    for n = p^m, the non-generators for n = pq) and V2, the rest; the
+    dihedral graph adds the reflections as V3.
+    """
+    shape = factorize(n).factors
+    if len(shape) == 1:
+        p = shape[0][0]
+        v1 = [k for k in range(n) if k == 0 or t.group.orders[k] == p]
+    else:
+        v1 = [k for k in range(n) if math.gcd(k, n) != 1]
+    in_v1 = set(v1)
+    v2 = [k for k in range(n) if k not in in_v1]
+    phi = euler_phi(n)
+    if family == "cyclic":
+        if len(shape) == 1:
+            return [v1, v2], [[n + p - 2, n - p], [p, p]]
+        return [v1, v2], [[2 * n - phi - 2, phi], [n - phi, n - phi]]
+    v3 = list(range(n, 2 * n))
+    if len(shape) == 1:
+        return [v1, v2, v3], [[2 * (n - 1) + p, n - p, n], [p, n + p, n], [p, n - p, 3 * n - 2]]
+    return [v1, v2, v3], [
+        [3 * n - 2 - phi, phi, n],
+        [n - phi, 2 * n - phi, n],
+        [n - phi, phi, 3 * n - 2],
+    ]
+
+
 def check_equitable_quotients(build: Builder) -> CheckResult:
     r = CheckResult("spectra: equitable partition quotients")
-    # two-block partitions of the cyclic graphs
-    for n in CYCLIC_PQ_ORDERS + CYCLIC_PRIME_POWER_ORDERS:
-        t = build(groups.cyclic(n))
-        shape = factorize(n).factors
-        if len(shape) == 1:
-            p = shape[0][0]
-            v1 = [k for k in range(n) if k == 0 or t.group.orders[k] == p]
-        else:
-            v1 = [k for k in range(n) if math.gcd(k, n) != 1]
-        v2 = [k for k in range(n) if k not in set(v1)]
-        ok, _ = spectra.is_equitable(t, [v1, v2])
-        r.expect(ok, f"cyclic({n}): theorem partition is not equitable")
-        if not ok:
-            continue
-        ep = spectra.quotient_matrix(t, [v1, v2])
-        phi = euler_phi(n)
-        if len(shape) == 1:
-            p = shape[0][0]
-            expected = [[n + p - 2, n - p], [p, p]]
-        else:
-            expected = [[2 * n - phi - 2, phi], [n - phi, n - phi]]
-        r.expect(
-            ep.quotient.tolist() == expected,
-            f"cyclic({n}): quotient matrix differs from the closed form",
-        )
-        contained = spectra.spectrum_contains(
-            spectra.quotient_spectrum(ep), spectra.eig_sym(spectra.build_Q(t)), SPECTRA_TOL
-        )
-        r.expect(contained, f"cyclic({n}): quotient spectrum not inside full spectrum")
-    # three-block partitions of the dihedral graphs
-    for n in DIHEDRAL_PQ_ORDERS + DIHEDRAL_PRIME_POWER_ORDERS:
-        t = build(groups.dihedral(n))
-        shape = factorize(n).factors
-        if len(shape) == 1:
-            p = shape[0][0]
-            v1 = [k for k in range(n) if k == 0 or t.group.orders[k] == p]
-        else:
-            v1 = [k for k in range(n) if math.gcd(k, n) != 1]
-        v2 = [k for k in range(n) if k not in set(v1)]
-        v3 = list(range(n, 2 * n))
-        ok, _ = spectra.is_equitable(t, [v1, v2, v3])
-        r.expect(ok, f"dihedral({n}): theorem partition is not equitable")
-        if not ok:
-            continue
-        ep = spectra.quotient_matrix(t, [v1, v2, v3])
-        phi = euler_phi(n)
-        if len(shape) == 1:
-            p = shape[0][0]
-            expected = [
-                [2 * (n - 1) + p, n - p, n],
-                [p, n + p, n],
-                [p, n - p, 3 * n - 2],
-            ]
-        else:
-            expected = [
-                [3 * n - 2 - phi, phi, n],
-                [n - phi, 2 * n - phi, n],
-                [n - phi, phi, 3 * n - 2],
-            ]
-        r.expect(
-            ep.quotient.tolist() == expected,
-            f"dihedral({n}): quotient matrix differs from the closed form",
-        )
-        contained = spectra.spectrum_contains(
-            spectra.quotient_spectrum(ep), spectra.eig_sym(spectra.build_Q(t)), SPECTRA_TOL
-        )
-        r.expect(contained, f"dihedral({n}): quotient spectrum not inside full spectrum")
+    for family, ctor, orders in (
+        ("cyclic", groups.cyclic, CYCLIC_PQ_ORDERS + CYCLIC_PRIME_POWER_ORDERS),
+        ("dihedral", groups.dihedral, DIHEDRAL_PQ_ORDERS + DIHEDRAL_PRIME_POWER_ORDERS),
+    ):
+        for n in orders:
+            t = build(ctor(n))
+            blocks, expected = _theorem_quotient(t, family, n)
+            ok, _ = spectra.is_equitable(t, blocks)
+            r.expect(ok, f"{family}({n}): theorem partition is not equitable")
+            if not ok:
+                continue
+            ep = spectra.quotient_matrix(t, blocks)
+            r.expect(
+                ep.quotient.tolist() == expected,
+                f"{family}({n}): quotient matrix differs from the closed form",
+            )
+            contained = spectra.spectrum_contains(
+                spectra.quotient_spectrum(ep), spectra.eig_sym(spectra.build_Q(t)), SPECTRA_TOL
+            )
+            r.expect(contained, f"{family}({n}): quotient spectrum not inside full spectrum")
     return r
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -5,8 +6,10 @@ import networkx as nx
 import numpy as np
 import pytest
 
+import thetagraph.graph
+import thetagraph.properties
 from thetagraph import groups
-from thetagraph.graph import build_theta, min_degree, prime_order_set
+from thetagraph.graph import ThetaGraph, build_theta, min_degree, prime_order_set
 from thetagraph.groups import (
     cyclic,
     dicyclic,
@@ -20,6 +23,7 @@ from thetagraph.properties import (
     CrossCheckError,
     _bfs_distances,
     _hamiltonian_search,
+    _toughness_refutation,
     _twin_classes,
     components_after_removal,
     diameter,
@@ -100,6 +104,67 @@ def test_girth_matches_networkx_on_samples():
         assert girth(t) == nx.girth(_nx_graph(t))
 
 
+def _theta_from_nx(h):
+    """A ThetaGraph with the adjacency of the networkx graph h; the group
+    is a placeholder of the same size, since girth reads only the graph."""
+    h = nx.convert_node_labels_to_integers(h)
+    n = h.number_of_nodes()
+    adj = nx.to_numpy_array(h, nodelist=range(n), dtype=bool)
+    g = from_orders([f"v{k}" for k in range(n)], [1] + [2] * (n - 1))
+    return ThetaGraph(g, adj, adj.sum(axis=1).astype(np.int64))
+
+
+@pytest.mark.parametrize(
+    "h, expected",
+    [
+        (nx.cycle_graph(4), 4),
+        (nx.hypercube_graph(3), 4),
+        (nx.complete_bipartite_graph(3, 5), 4),
+        (nx.cycle_graph(5), 5),
+        (nx.petersen_graph(), 5),
+        (nx.heawood_graph(), 6),
+        (nx.cycle_graph(7), 7),
+        (nx.LCF_graph(30, [-13, -9, 7, -7, 9, 13], 5), 8),  # Tutte-Coxeter graph
+        (nx.disjoint_union(nx.cycle_graph(7), nx.cycle_graph(5)), 5),
+        (nx.disjoint_union(nx.path_graph(4), nx.cycle_graph(6)), 6),
+        (nx.lollipop_graph(4, 3), 3),
+        (nx.wheel_graph(6), 3),
+        (nx.star_graph(5), math.inf),
+        (nx.path_graph(6), math.inf),
+        (nx.balanced_tree(2, 3), math.inf),
+        (nx.disjoint_union(nx.star_graph(3), nx.path_graph(3)), math.inf),
+        (nx.empty_graph(3), math.inf),
+    ],
+)
+def test_girth_matches_networkx_on_hand_built_graphs(h, expected):
+    t = _theta_from_nx(h)
+    assert nx.girth(h) == expected
+    assert girth(t) == expected
+
+
+@pytest.mark.parametrize("build", [build_theta, corrupting_builder])
+def test_girth_matches_networkx_on_all_small_groups(build):
+    for _, _, _, g in groups.enumerate_groups(64, groups.FAMILIES):
+        t = build(g)
+        assert girth(t) == nx.girth(_nx_graph(t)), t.group.describe()
+
+
+@pytest.mark.parametrize("identity", [0, 4095])
+def test_girth_of_a_large_star_is_settled_before_any_search(monkeypatch, identity):
+    # the identity is universal and elements of order 4 are pairwise
+    # non-adjacent, so this graph is a star on 4096 vertices
+    orders = [4] * 4096
+    orders[identity] = 1
+    t = build_theta(from_orders([str(k) for k in range(4096)], orders))
+    calls = []
+    bfs = thetagraph.properties._bfs_distances
+    monkeypatch.setattr(
+        thetagraph.properties, "_bfs_distances", lambda *a, **kw: calls.append(a) or bfs(*a, **kw)
+    )
+    assert girth(t) == math.inf
+    assert len(calls) == 1  # the component count's one BFS, and no search from any root
+
+
 # ---------------------------------------------------------------------------
 # eulerian / complete / domination
 # ---------------------------------------------------------------------------
@@ -143,6 +208,41 @@ def test_singleton_domination():
     for g in (cyclic(10), dihedral(6), dicyclic(3)):
         t = build_theta(g)
         assert is_singleton_dominating(t, t.group.identity_index)
+
+
+def _count_primality_calls(monkeypatch):
+    """Count calls of every primality predicate bound by the group, graph
+    and property layers."""
+    calls = []
+    for module in (groups, thetagraph.graph, thetagraph.properties):
+        for name in ("is_prime", "is_one_or_prime"):
+            if hasattr(module, name):
+                fn = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda v, fn=fn: calls.append(v) or fn(v))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [
+        [1] + [2**61 - 1] * 511,  # one huge prime order: a complete graph
+        list(cyclic(720).orders),  # 30 order classes, ten of them composite
+        list(dicyclic(60).orders),
+    ],
+)
+def test_group_side_criteria_test_primality_once_per_distinct_order(monkeypatch, orders):
+    g = from_orders([f"g{k}" for k in range(len(orders))], orders)
+    built = build_theta(g)
+    # a fresh spec, so that its order classes are derived while counting
+    t = ThetaGraph(dataclasses.replace(g), built.adj, built.degrees, built.warnings)
+    calls = _count_primality_calls(monkeypatch)
+    is_complete(t)
+    prime_order_set(t)
+    is_eulerian(t)
+    for v in range(t.n_vertices):
+        is_singleton_dominating(t, v)
+    _toughness_refutation(t)
+    assert 0 < len(calls) <= len(set(orders))
 
 
 def test_domination_number_is_one_with_identity_witness():

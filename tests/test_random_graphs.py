@@ -9,6 +9,7 @@ test_fake_profile_* below).
 """
 
 import math
+from collections import Counter
 
 import networkx as nx
 import numpy as np
@@ -16,12 +17,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thetagraph.graph import build_theta, min_degree
-from thetagraph.groups import FAMILIES, enumerate_groups, from_orders
+from thetagraph.groups import FAMILIES, enumerate_groups, from_orders, order_profile
 from thetagraph.numtheory import is_one_or_prime
 from thetagraph.properties import (
     CrossCheckError,
     _hamiltonian_search,
     components_after_removal,
+    girth,
     is_complete,
     is_eulerian,
     is_hamiltonian,
@@ -89,6 +91,49 @@ def test_hamiltonian_pipeline_matches_exhaustive_search(orders):
         assert validate_cycle(t, verdict.cycle)
     if verdict.witness_cut is not None:
         assert components_after_removal(t, verdict.witness_cut) > len(verdict.witness_cut)
+
+
+@settings(deadline=None, max_examples=60)
+@given(orders_strategy)
+def test_girth_matches_networkx_on_any_order_list(orders):
+    t = _graph_from_orders(orders)
+    assert girth(t) == nx.girth(_nx_graph(t))
+
+
+# ---------------------------------------------------------------------------
+# order classes against a brute-force count
+# ---------------------------------------------------------------------------
+
+
+def _assert_order_classes_match_brute_force(g):
+    counts = Counter(g.orders)
+    distinct = sorted(counts)
+    oc = g.order_classes
+    assert oc.orders.tolist() == distinct
+    assert [distinct[c] for c in oc.class_of.tolist()] == list(g.orders)
+    assert oc.one_or_prime.tolist() == [
+        o == 1 or all(o % d for d in range(2, math.isqrt(o) + 1)) for o in distinct
+    ]
+    assert list(order_profile(g).items()) == sorted(counts.items())
+
+
+def test_order_classes_match_brute_force_on_groups():
+    for _, _, _, g in enumerate_groups(64, FAMILIES):
+        _assert_order_classes_match_brute_force(g)
+
+
+@settings(deadline=None, max_examples=60)
+@given(orders_strategy)
+def test_order_classes_match_brute_force_on_any_order_list(orders):
+    _assert_order_classes_match_brute_force(_graph_from_orders(orders).group)
+
+
+def test_order_classes_are_derived_once_and_read_only():
+    g = from_orders(["e", "a", "b", "c"], [1, 4, 2, 4])
+    oc = g.order_classes
+    assert g.order_classes is oc
+    for a in (oc.orders, oc.class_of, oc.one_or_prime):
+        assert not a.flags.writeable
 
 
 # ---------------------------------------------------------------------------
