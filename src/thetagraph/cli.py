@@ -32,6 +32,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CROSSCHECK = 2
 
+EMIT_CHUNK = 1 << 20  # characters per write, so no encoded copy of a whole export is made
 SEARCH_CSV_HEADER = ["family", "params", "order", "complete", "kappa", "s_size", "class", "ms"]
 
 
@@ -175,7 +176,8 @@ def _emit(text: str, out_path: str | None) -> None:
     else:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                for k in range(0, len(text), EMIT_CHUNK):
+                    fh.write(text[k : k + EMIT_CHUNK])
         except OSError as exc:
             raise SystemExit2(f"cannot write output file: {exc}")
 
@@ -257,8 +259,8 @@ def _cmd_search(args) -> int:
     for order, family, params, g in candidates:
         if (family, params) in done:
             continue
-        t = build_theta(g)
         started = time.perf_counter()
+        t = build_theta(g)
         complete = is_complete(t)
         conn = vertex_connectivity(t)
         s_size = prime_order_set(t).size

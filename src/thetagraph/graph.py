@@ -11,7 +11,7 @@ degrees beat any sparse representation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +37,13 @@ class ThetaGraph:
     adj: np.ndarray  # (n, n) bool, symmetric, zero diagonal
     degrees: np.ndarray  # (n,) int
     warnings: tuple[tuple[str, str], ...] = ()
+    # facts computed from the graph, by name, once each (see properties._once_per_graph)
+    facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # read-only, so a fact in ``facts`` cannot go stale
+        self.adj.setflags(write=False)
+        self.degrees.setflags(write=False)
 
     @property
     def n_vertices(self) -> int:
@@ -88,8 +95,6 @@ def build_theta(g: GroupSpec) -> ThetaGraph:
         warnings += (
             ("small_group", f"|G|={n} is at or below 2; the graph definition assumes |G|>2"),
         )
-    adj.setflags(write=False)
-    degrees.setflags(write=False)
     return ThetaGraph(group=g, adj=adj, degrees=degrees, warnings=warnings)
 
 

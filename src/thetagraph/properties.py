@@ -8,6 +8,7 @@ which always signals an implementation bug rather than bad input.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -60,6 +61,18 @@ def _cross_check_failed(t: ThetaGraph, detail: str) -> CrossCheckError:
     return CrossCheckError(detail)
 
 
+def _once_per_graph(fn):
+    """Memoise fn(t) in t.facts under fn's name; a call that raises stores nothing."""
+
+    @functools.wraps(fn)
+    def once(t: ThetaGraph):
+        if fn.__name__ not in t.facts:
+            t.facts[fn.__name__] = fn(t)
+        return t.facts[fn.__name__]
+
+    return once
+
+
 # ---------------------------------------------------------------------------
 # connectivity, distance, girth
 # ---------------------------------------------------------------------------
@@ -82,6 +95,7 @@ def _bfs_distances(t: ThetaGraph, src: int, keep: np.ndarray | None = None) -> n
     return dist
 
 
+@_once_per_graph
 def is_connected(t: ThetaGraph) -> bool:
     return bool((_bfs_distances(t, 0) >= 0).all())
 
@@ -89,20 +103,18 @@ def is_connected(t: ThetaGraph) -> bool:
 def diameter(t: ThetaGraph) -> int:
     """Longest shortest-path distance; only defined on connected graphs.
 
-    Fast path: these graphs are almost always of diameter <= 2, which a
-    boolean A | A^2 coverage test decides without all-pairs BFS.
+    1 on a complete graph; otherwise 2 when some vertex is universal, as it
+    is a common neighbour of every non-adjacent pair; otherwise the largest
+    BFS eccentricity.
     """
     n = t.n_vertices
     if not is_connected(t):
         raise ValueError("diameter is undefined for a disconnected graph")
     if n == 1:
         return 0
-    a = t.adj
-    if bool((a | np.eye(n, dtype=bool)).all()):
+    if _complete_graph_side(t):
         return 1
-    within2 = a | (a @ a)
-    np.fill_diagonal(within2, True)
-    if within2.all():
+    if bool((t.degrees == n - 1).any()):
         return 2
     return max(int(_bfs_distances(t, src).max()) for src in range(n))
 
@@ -184,6 +196,7 @@ def _complete_graph_side(t: ThetaGraph) -> bool:
     return t.edge_count == n * (n - 1) // 2
 
 
+@_once_per_graph
 def is_complete(t: ThetaGraph) -> bool:
     """Complete iff the group has no element of composite order."""
     graph_side = _complete_graph_side(t)
@@ -371,9 +384,7 @@ def is_hamiltonian(t: ThetaGraph, node_budget: int = DEFAULT_NODE_BUDGET) -> Ham
     budgeted exact search. A yes always carries a certificate cycle and a
     toughness-based no carries the separating set."""
     n = t.n_vertices
-    if n < 3:
-        return HamiltonianVerdict("no", None, "exact_search", 0)
-    if not is_connected(t):
+    if n < 3 or not is_connected(t):
         return HamiltonianVerdict("no", None, "exact_search", 0)
     missing = np.nonzero(np.triu(~t.adj, k=1))
     if bool((t.degrees[missing[0]] + t.degrees[missing[1]] >= n).all()):
@@ -428,22 +439,19 @@ class _SplitFlowNet:
         self.head.append(u)
         self.cap.append(0)
 
-    def reset(self, base_cap: list[int]) -> None:
-        self.cap = base_cap.copy()
-
     def max_flow(self, s: int, sink: int) -> int:
         flow = 0
-        while True:
-            pred = self._bfs(s, sink)
-            if pred is None:
-                return flow
+        while (pred := self._bfs(s, sink))[sink] != -1:
             bottleneck = min(self.cap[eid] for eid in self._path_edges(pred, sink))
             for eid in self._path_edges(pred, sink):
                 self.cap[eid] -= bottleneck
                 self.cap[eid ^ 1] += bottleneck
             flow += bottleneck
+        return flow
 
-    def _bfs(self, s: int, sink: int):
+    def _bfs(self, s: int, sink: int) -> list[int]:
+        """Residual BFS from s until sink is reached: pred[v] is the arc into v,
+        -2 at s and -1 where v is not reached."""
         pred = [-1] * (2 * self.size)
         pred[s] = -2
         q = deque([s])
@@ -456,7 +464,7 @@ class _SplitFlowNet:
                     if v == sink:
                         return pred
                     q.append(v)
-        return None
+        return pred
 
     def _path_edges(self, pred, sink):
         v = sink
@@ -467,24 +475,8 @@ class _SplitFlowNet:
 
     def min_cut_nodes(self, s: int) -> list[int]:
         """After max_flow: the nodes whose split arc crosses the cut."""
-        seen = [False] * (2 * self.size)
-        seen[s] = True
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for eid in self.graph[u]:
-                v = self.head[eid]
-                if not seen[v] and self.cap[eid] > 0:
-                    seen[v] = True
-                    q.append(v)
-        return [x for x in range(self.size) if seen[2 * x] and not seen[2 * x + 1]]
-
-
-def _local_connectivity(net: _SplitFlowNet, base_cap: list[int], u: int, v: int):
-    """Weighted kappa(u, v) for non-adjacent nodes u, v, with the cut nodes."""
-    net.reset(base_cap)
-    value = net.max_flow(2 * u + 1, 2 * v)
-    return value, net.min_cut_nodes(2 * u + 1)
+        pred = self._bfs(s, -1)  # no sink: everything reachable from s
+        return [x for x in range(self.size) if pred[2 * x] != -1 and pred[2 * x + 1] == -1]
 
 
 def _twin_classes(t: ThetaGraph) -> list[np.ndarray]:
@@ -510,6 +502,7 @@ def _twin_classes(t: ThetaGraph) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(class_of[order])) + 1)
 
 
+@_once_per_graph
 def vertex_connectivity(t: ThetaGraph) -> ConnectivityResult:
     """kappa on the twin-class quotient.
 
@@ -549,10 +542,12 @@ def vertex_connectivity(t: ThetaGraph) -> ConnectivityResult:
     pairs = [(s, c) for c in range(len(classes)) if c != s and not q_adj[s, c]]
     ns = np.flatnonzero(q_adj[s]).tolist()
     pairs.extend((a, b) for a, b in combinations(ns, 2) if not q_adj[a, b])
-    for a, b in pairs:
-        value, cut = _local_connectivity(net, base_cap, a, b)
+    for a, b in pairs:  # weighted kappa(a, b) of each non-adjacent pair
+        net.cap = base_cap.copy()
+        value = net.max_flow(2 * a + 1, 2 * b)
         if best is None or value < best:
             best = value
+            cut = net.min_cut_nodes(2 * a + 1)
             best_cut = frozenset(np.concatenate([classes[c] for c in cut]).tolist())
     assert best is not None and best_cut is not None
     if best > min_degree(t):

@@ -104,10 +104,6 @@ def _frac_str(fr: Fraction) -> str:
     return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
 
 
-def _numeric(value) -> float:
-    return float(value)
-
-
 # ---------------------------------------------------------------------------
 # spectra
 # ---------------------------------------------------------------------------
@@ -125,10 +121,10 @@ class SpectrumResult:
         return sum(m for _, m in self.entries)
 
     def numeric_items(self) -> list[tuple[float, int]]:
-        return [(_numeric(v), m) for v, m in self.entries]
+        return [(float(v), m) for v, m in self.entries]
 
     def trace(self) -> float:
-        return sum(_numeric(v) * m for v, m in self.entries)
+        return sum(float(v) * m for v, m in self.entries)
 
     def display_items(self) -> list[tuple[str, float, int]]:
         out = []
@@ -148,7 +144,7 @@ def _make_spectrum(pairs, kind: str) -> SpectrumResult:
         if m == 0:
             continue
         merged[v] = merged.get(v, 0) + m
-    entries = tuple(sorted(merged.items(), key=lambda vm: -_numeric(vm[0])))
+    entries = tuple(sorted(merged.items(), key=lambda vm: -float(vm[0])))
     return SpectrumResult(entries=entries, kind=kind)
 
 

@@ -59,8 +59,6 @@ def corrupting_builder(g: groups.GroupSpec) -> ThetaGraph:
     i, j = t.group.identity_index, (t.group.identity_index + 1) % n
     adj[i, j] = adj[j, i] = not adj[i, j]
     degrees = adj.sum(axis=1).astype(np.int64)
-    adj.setflags(write=False)
-    degrees.setflags(write=False)
     return ThetaGraph(group=t.group, adj=adj, degrees=degrees, warnings=t.warnings)
 
 

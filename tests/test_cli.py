@@ -5,8 +5,9 @@ import time
 
 import pytest
 
+import thetagraph.cli
 from thetagraph import build_theta, cyclic, validate_cycle
-from thetagraph.cli import main, parse_selector
+from thetagraph.cli import EMIT_CHUNK, _emit, main, parse_selector
 from thetagraph.properties import components_after_removal
 
 
@@ -339,6 +340,20 @@ def test_search_skip_completed_appends_only_new(tmp_path, capsys):
     assert out_path.read_text().startswith(first)
 
 
+def test_search_ms_times_the_build_too(capsys, monkeypatch):
+    build = thetagraph.cli.build_theta
+
+    def slow_build(g):
+        time.sleep(0.05)
+        return build(g)
+
+    monkeypatch.setattr(thetagraph.cli, "build_theta", slow_build)
+    code, out, _ = run_cli(capsys, "search", "--max-order", "4", "--families", "cyclic")
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert len(rows) == 2 and all(int(r["ms"]) >= 50 for r in rows)
+
+
 def test_search_rejects_bad_family(capsys):
     code, _, err = run_cli(capsys, "search", "--max-order", "10", "--families", "sporadic")
     assert code == 1 and "sporadic" in err
@@ -363,3 +378,12 @@ def test_bad_log_level_is_usage_error(capsys, monkeypatch):
 def test_unknown_export_format_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "export", "--cyclic", "3", "--format", "pdf")
     assert code == 1
+
+
+def test_emit_writes_a_long_multibyte_text_byte_for_byte(tmp_path):
+    # the slices cut between characters of one, two, three and four bytes
+    text = "a\u00e9\u20ac\U0001f600\n" * (EMIT_CHUNK // 2 + 7)
+    assert len(text) > 2 * EMIT_CHUNK
+    out = tmp_path / "big.txt"
+    _emit(text, str(out))
+    assert out.read_bytes() == text.encode("utf-8")

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import inspect
 import math
+import time
 
 import networkx as nx
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 import thetagraph.graph
 import thetagraph.properties
 from thetagraph import groups
+from thetagraph.analysis import analyze_group
 from thetagraph.graph import ThetaGraph, build_theta, min_degree, prime_order_set
 from thetagraph.groups import (
     cyclic,
@@ -69,9 +72,30 @@ def test_connected_and_diameter(n, expected):
 
 
 def test_diameter_matches_networkx_on_samples():
-    for g in (cyclic(12), dihedral(9), dicyclic(4), cyclic(1), cyclic(2)):
-        t = build_theta(g)
-        assert diameter(t) == (nx.diameter(_nx_graph(t)) if t.n_vertices > 1 else 0)
+    for t in _small_graphs(64):
+        h = _nx_graph(t)
+        if nx.is_connected(h):
+            assert diameter(t) == nx.diameter(h), t.group.describe()
+        else:
+            with pytest.raises(ValueError):
+                diameter(t)
+
+
+@pytest.mark.parametrize(
+    "h, expected",
+    [(nx.path_graph(6), 5), (nx.cycle_graph(6), 3), (nx.petersen_graph(), 2)],
+)
+def test_diameter_without_a_universal_vertex_matches_networkx(h, expected):
+    assert nx.diameter(h) == expected
+    assert diameter(_theta_from_nx(h)) == expected
+
+
+def test_diameter_of_a_large_star_with_the_identity_last_is_fast():
+    orders = [4] * 2047 + [1]
+    t = build_theta(from_orders([str(k) for k in range(2048)], orders))
+    started = time.perf_counter()
+    assert diameter(t) == 2
+    assert time.perf_counter() - started < 1.0
 
 
 def test_bfs_distances_match_networkx():
@@ -508,5 +532,50 @@ def test_cross_check_error_on_corrupted_graph():
     from thetagraph.verify import corrupting_builder
 
     t = corrupting_builder(cyclic(7))  # complete graph loses one edge
-    with pytest.raises(CrossCheckError):
-        is_complete(t)
+    for _ in range(2):  # a call that raises stores no fact, so it raises again
+        with pytest.raises(CrossCheckError):
+            is_complete(t)
+
+
+# ---------------------------------------------------------------------------
+# each graph fact computed once per graph
+# ---------------------------------------------------------------------------
+
+
+def test_analyze_computes_twin_classes_and_connectivity_once(monkeypatch):
+    twin_calls, connectivity_bfs = [], []
+    twin, bfs = thetagraph.properties._twin_classes, thetagraph.properties._bfs_distances
+
+    def counting_bfs(t, src, keep=None):
+        if keep is None:  # whole-graph BFS; the component counts pass a mask
+            connectivity_bfs.append(src)
+        return bfs(t, src, keep)
+
+    monkeypatch.setattr(thetagraph.properties, "_twin_classes", lambda t: twin_calls.append(t) or twin(t))
+    monkeypatch.setattr(thetagraph.properties, "_bfs_distances", counting_bfs)
+    analyze_group(dihedral(60), timestamp=False)
+    assert len(twin_calls) == 1
+    assert connectivity_bfs == [0]
+
+
+def test_facts_are_not_shared_between_graphs_of_one_group():
+    g = cyclic(7)
+    built, corrupted = build_theta(g), corrupting_builder(g)
+    assert vertex_connectivity(built).kappa == 6
+    assert vertex_connectivity(corrupted).kappa == 5
+
+
+def test_graph_arrays_are_read_only_even_when_passed_writable():
+    t = _theta_from_nx(nx.cycle_graph(5))
+    assert not t.adj.flags.writeable and not t.degrees.flags.writeable
+    with pytest.raises(ValueError):
+        t.adj[0, 2] = True
+
+
+@pytest.mark.parametrize("name", ["is_connected", "is_complete", "vertex_connectivity"])
+def test_memoised_predicates_stay_visible_to_the_layer_tracer(name):
+    # perfbench/tracing.py wraps the public functions that pass these tests
+    fn = getattr(thetagraph.properties, name)
+    assert inspect.isfunction(fn)
+    assert fn.__module__ == "thetagraph.properties"
+    assert fn.__name__ == name
