@@ -33,6 +33,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ThetaGraph:
+    """The graph of ``group``. Construction makes the given ``adj`` and
+    ``degrees`` arrays read-only in place, without copying them."""
+
     group: GroupSpec
     adj: np.ndarray  # (n, n) bool, symmetric, zero diagonal
     degrees: np.ndarray  # (n,) int

@@ -72,7 +72,8 @@ def test_connected_and_diameter(n, expected):
 
 
 def test_diameter_matches_networkx_on_samples():
-    for t in _small_graphs(64):
+    # enumerate_groups starts the cyclic family at order 3
+    for t in (build_theta(cyclic(1)), build_theta(cyclic(2)), *_small_graphs(64)):
         h = _nx_graph(t)
         if nx.is_connected(h):
             assert diameter(t) == nx.diameter(h), t.group.describe()
