@@ -7,6 +7,7 @@ failed. Logging level comes from THETA_LOG (error|warn|info|debug).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -17,7 +18,7 @@ import time
 
 from . import groups, verify
 from .analysis import analyze_group, spectrum_section
-from .graph import build_theta, export_dot, export_json, prime_order_set
+from .graph import build_theta, dot_pieces, json_pieces, prime_order_set
 from .properties import (
     DEFAULT_NODE_BUDGET,
     CrossCheckError,
@@ -32,7 +33,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CROSSCHECK = 2
 
-EMIT_CHUNK = 1 << 20  # characters per write, so no encoded copy of a whole export is made
 SEARCH_CSV_HEADER = ["family", "params", "order", "complete", "kappa", "s_size", "class", "ms"]
 
 
@@ -170,16 +170,16 @@ def _group_from_args(args: argparse.Namespace) -> groups.GroupSpec:
     return parse_selector(text)
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                for k in range(0, len(text), EMIT_CHUNK):
-                    fh.write(text[k : k + EMIT_CHUNK])
-        except OSError as exc:
-            raise SystemExit2(f"cannot write output file: {exc}")
+def _emit(pieces, out_path: str | None) -> None:
+    """Write the text pieces, one after another, to the file or to stdout."""
+    try:
+        with (contextlib.nullcontext(sys.stdout) if out_path is None
+              else open(out_path, "w", encoding="utf-8")) as fh:
+            fh.writelines(pieces)
+    except BrokenPipeError:  # the reader left early (``| head``); stop quietly, flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        raise SystemExit2(f"cannot write output file: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -192,34 +192,29 @@ def _cmd_analyze(args) -> int:
     report = analyze_group(
         g, hamiltonian_budget=args.budget, timestamp=not args.no_timestamp
     )
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
+    _emit((json.dumps(report, indent=2) + "\n",), args.out)
     return EXIT_OK
 
 
 def _cmd_spectrum(args) -> int:
     g = _group_from_args(args)
     section = spectrum_section(build_theta(g))
-    _emit(json.dumps(section, indent=2) + "\n", args.out)
+    _emit((json.dumps(section, indent=2) + "\n",), args.out)
     return EXIT_OK
 
 
 def _cmd_export(args) -> int:
-    g = _group_from_args(args)
-    t = build_theta(g)
-    started = time.perf_counter()
-    if args.format == "dot":
-        text = export_dot(t)
-    elif args.format == "json":
-        text = export_json(t)
-    else:
-        raise SystemExit2(f"unknown export format {args.format!r}")
-    seconds = time.perf_counter() - started
-    if log.isEnabledFor(logging.DEBUG):  # counting bytes copies the text
+    t = build_theta(_group_from_args(args))
+    pieces = (dot_pieces if args.format == "dot" else json_pieces)(t)
+    if log.isEnabledFor(logging.DEBUG):  # the pieces are held, to time and count them
+        started = time.perf_counter()
+        pieces = list(pieces)
+        seconds = time.perf_counter() - started
         log.debug(
             "export %s: %d vertices, %d edges, %d bytes, %.4f s serialising",
-            args.format, t.n_vertices, t.edge_count, len(text.encode("utf-8")), seconds,
+            args.format, t.n_vertices, t.edge_count, sum(len(p.encode("utf-8")) for p in pieces), seconds,
         )
-    _emit(text, args.out)
+    _emit(pieces, args.out)
     return EXIT_OK
 
 

@@ -11,6 +11,7 @@ degrees beat any sparse representation.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +25,10 @@ __all__ = [
     "adjacent",
     "build_theta",
     "degree",
+    "dot_pieces",
     "export_dot",
     "export_json",
+    "json_pieces",
     "min_degree",
     "prime_order_set",
 ]
@@ -124,20 +127,18 @@ def min_degree(t: ThetaGraph) -> int:
     return int(t.degrees.min())
 
 
-def _edge_rows(adj: np.ndarray, heads: list[str], tails: list[str], sep: str) -> list[str]:
-    """One text per row i with edges: its edges i < j as ``heads[i] + tails[j]``,
+def _edge_rows(adj: np.ndarray, heads: list[str], tails: list[str], sep: str) -> Iterator[str]:
+    """Yield one text per row i with edges: its edges i < j as ``heads[i] + tails[j]``,
     ascending, joined by ``sep``; rows ascending.
 
     The head goes into the row's separator, so the edges of a row are
     formatted by one C-level join, with one Python step per row, not per edge.
     """
-    upper = np.triu(adj, k=1)
     tail_of = np.array(tails, dtype=object)
-    rows = []
-    for i in np.flatnonzero(upper.any(axis=1)).tolist():
-        head = heads[i]
-        rows.append(head + (sep + head).join(tail_of[upper[i]].tolist()))
-    return rows
+    for i, head in enumerate(heads):
+        row = tail_of[i + 1 :][adj[i, i + 1 :]]
+        if row.size:
+            yield head + (sep + head).join(row.tolist())
 
 
 def _dot_id(label: str) -> str:
@@ -145,18 +146,19 @@ def _dot_id(label: str) -> str:
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(t: ThetaGraph) -> str:
-    """Undirected DOT document; nodes named by group labels, edges i<j."""
+def dot_pieces(t: ThetaGraph) -> Iterator[str]:
+    """The DOT document of ``export_dot`` in pieces: the node lines, then
+    one piece per vertex with edges to higher vertices, then the closing brace."""
     ids = [_dot_id(label) for label in t.group.labels]
-    lines = ["graph theta {"]
-    lines += [f"  {v};" for v in ids]
-    lines += _edge_rows(t.adj, [f"  {v} -- " for v in ids], [f"{v};" for v in ids], "\n")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield "graph theta {\n" + "".join(f"  {v};\n" for v in ids)
+    yield from _edge_rows(t.adj, [f"  {v} -- " for v in ids], [f"{v};\n" for v in ids], "")
+    yield "}\n"
 
 
-def export_json(t: ThetaGraph) -> str:
-    """Graph as a JSON document: metadata, labels, orders, edges, degrees.
+def json_pieces(t: ThetaGraph) -> Iterator[str]:
+    """The JSON document of ``export_json`` in pieces: the fields before
+    ``edges``, then one piece per vertex with edges to higher vertices, then
+    the fields after.
 
     The text equals ``json.dumps(doc, indent=2) + "\\n"`` with ``edges`` a
     list of ``[i, j]`` pairs; only the small fields go through ``json``.
@@ -184,11 +186,20 @@ def export_json(t: ThetaGraph) -> str:
     rows = _edge_rows(
         t.adj, [f"    [\n      {i},\n      " for i in range(n)], [f"{j}\n    ]" for j in range(n)], ",\n"
     )
-    if rows:
-        rows[0] = '  "edges": [\n' + rows[0]
-        rows[-1] += "\n  ]"
-    else:
-        rows = ['  "edges": []']
-    # both dumps are "{\n" + top-level members + "\n}"; the edge rows go between
-    # them, in one join so that the edge text is copied only once
-    return ",\n".join([before[:-2], *rows, after[2:] + "\n"])
+    # both dumps are "{\n" + top-level members + "\n}"; the edge rows go between them
+    yield before[:-2] + ',\n  "edges": ['
+    sep = "\n"
+    for row in rows:
+        yield sep + row
+        sep = ",\n"
+    yield ("]" if sep == "\n" else "\n  ]") + ",\n" + after[2:] + "\n"
+
+
+def export_dot(t: ThetaGraph) -> str:
+    """Undirected DOT document; nodes named by group labels, edges i<j."""
+    return "".join(dot_pieces(t))
+
+
+def export_json(t: ThetaGraph) -> str:
+    """Graph as a JSON document: metadata, labels, orders, edges, degrees."""
+    return "".join(json_pieces(t))

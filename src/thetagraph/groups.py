@@ -38,8 +38,8 @@ FAMILIES = ("cyclic", "dihedral", "dicyclic", "elementary_abelian", "heisenberg"
 # the graph is built over int64 orders, and primality is exact far beyond this
 MAX_ORDER = 2**63 - 1
 # every command holds dense n x n matrices: at 2**12 elements the adjacency is
-# 16 MiB, each 64-bit matrix of the spectrum 128 MiB, and the JSON export of
-# a complete graph 8.4 million edges (300 MB of text, about 0.9 GB peak)
+# 16 MiB and each 64-bit matrix of the spectrum 128 MiB; the export of a complete
+# graph (8.4 million edges, 300 MB of text) is streamed with about a 65 MB peak
 MAX_ELEMENTS = 2**12
 
 

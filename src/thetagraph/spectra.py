@@ -32,7 +32,8 @@ __all__ = [
     "spectrum_contains",
 ]
 
-MULTIPLICITY_GROUP_TOL = 1e-7
+SPECTRUM_MATCH_TOL = 1e-7  # absolute: how far two spectra may differ and still match
+MULTIPLICITY_GROUP_TOL = 1e-7  # relative to the matrix norm: equal eigenvalues in one result
 
 
 class UnsupportedFamilyError(ValueError):

@@ -19,12 +19,12 @@ import numpy as np
 from . import groups, properties as props, spectra
 from .graph import ThetaGraph, build_theta, min_degree, prime_order_set
 from .numtheory import euler_phi, factorize, is_prime
+from .spectra import SPECTRUM_MATCH_TOL
 
 __all__ = ["CheckResult", "SUITES", "corrupting_builder", "run_suite"]
 
 Builder = Callable[[groups.GroupSpec], ThetaGraph]
 
-SPECTRA_TOL = 1e-7
 CYCLIC_PQ_ORDERS = (6, 10, 14, 15, 21, 33, 35)
 CYCLIC_PRIME_POWER_ORDERS = (4, 8, 16, 32, 9, 27, 25, 49)
 DIHEDRAL_PQ_ORDERS = (6, 10, 15, 21)
@@ -75,7 +75,7 @@ def _check_family_spectra(result: CheckResult, family: str, orders, build: Build
         numeric = spectra.eig_sym(q)
         closed = spectra.closed_form_spectrum(family, n)
         result.expect(
-            spectra.spectra_equal(closed, numeric, SPECTRA_TOL),
+            spectra.spectra_equal(closed, numeric, SPECTRUM_MATCH_TOL),
             f"{family}({n}): closed form differs from the eigensolver",
         )
         trace = float(np.trace(q))
@@ -174,7 +174,7 @@ def check_equitable_quotients(build: Builder) -> CheckResult:
                 f"{family}({n}): quotient matrix differs from the closed form",
             )
             contained = spectra.spectrum_contains(
-                spectra.quotient_spectrum(ep), spectra.eig_sym(spectra.build_Q(t)), SPECTRA_TOL
+                spectra.quotient_spectrum(ep), spectra.eig_sym(spectra.build_Q(t)), SPECTRUM_MATCH_TOL
             )
             r.expect(contained, f"{family}({n}): quotient spectrum not inside full spectrum")
     return r

@@ -1,13 +1,17 @@
 import csv
 import json
 import logging
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import thetagraph.cli
-from thetagraph import build_theta, cyclic, validate_cycle
-from thetagraph.cli import EMIT_CHUNK, _emit, main, parse_selector
+from thetagraph import build_theta, cyclic, export_dot, export_json, validate_cycle
+from thetagraph.cli import _emit, main, parse_selector
 from thetagraph.properties import components_after_removal
 
 
@@ -183,6 +187,71 @@ def test_export_logs_one_debug_line_and_leaves_output_unchanged(monkeypatch, cap
     message = records[0].getMessage()
     assert message.startswith(f"export json: 12 vertices, 50 edges, {len(plain.encode())} bytes, ")
     assert message.endswith(" s serialising")
+
+
+NON_ASCII_GROUP = {
+    "labels": ["\u00e9", 'a"b', "\\x", "\u20ac", "\U0001f600", "\u03b6"],
+    "orders": [1, 2, 3, 6, 2, 3],
+}
+
+
+def _child_env() -> dict:
+    """The environment for a CLI run in a fresh interpreter that imports this package."""
+    src = str(Path(thetagraph.cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+@pytest.mark.parametrize("selector", ["cyclic:1", "cyclic:2", "dicyclic:3", "heisenberg:5", "custom"])
+def test_export_writes_the_export_text_to_stdout_and_to_a_file(tmp_path, capsysbinary, selector, fmt):
+    if selector == "custom":
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(NON_ASCII_GROUP), encoding="utf-8")
+        selector = f"custom:{path}"
+    want = {"json": export_json, "dot": export_dot}[fmt](build_theta(parse_selector(selector)))
+    name, _, value = selector.partition(":")
+    argv = ["export", "--format", fmt, f"--{name}", value]
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == want.encode("utf-8")
+    out = tmp_path / "graph.out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == want.encode("utf-8")
+
+
+PEAK_RSS_SCRIPT = """
+import resource, sys
+from thetagraph.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is counted in KiB on Linux")
+@pytest.mark.parametrize("out", [[], ["--out", os.devnull]], ids=["stdout", "file"])
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_export_at_max_elements_streams_without_holding_the_text(fmt, out):
+    # K_4096 has 8.4 million edges, about 300 MB of text; only one row is held at a time
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_SCRIPT, "export", "--format", fmt, "--elem-abelian", "2", "12", *out],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=_child_env(), check=True,
+    )
+    code, peak_kib = proc.stderr.split()
+    assert code == "0"
+    assert int(peak_kib) < 256 * 1024
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_export_into_a_pipe_closed_early_exits_0_quietly(fmt):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "thetagraph.cli", "export", "--format", fmt, "--heisenberg", "11"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+    )
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()  # as ``| head -c 20`` does, long before the 30 MB are written
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 @pytest.mark.parametrize(
@@ -380,10 +449,15 @@ def test_unknown_export_format_is_usage_error(capsys):
     assert code == 1
 
 
-def test_emit_writes_a_long_multibyte_text_byte_for_byte(tmp_path):
-    # the slices cut between characters of one, two, three and four bytes
-    text = "a\u00e9\u20ac\U0001f600\n" * (EMIT_CHUNK // 2 + 7)
-    assert len(text) > 2 * EMIT_CHUNK
+def test_emit_writes_pieces_byte_for_byte_to_a_file_and_to_stdout(tmp_path, capsysbinary):
+    def pieces():  # characters of one, two, three and four bytes
+        for k in range(1 << 16):
+            yield f"{k} " + "a\u00e9\u20ac\U0001f600" * (k % 7) + "\n"
+
+    want = "".join(pieces()).encode("utf-8")
+    assert len(want) > 2 << 20
     out = tmp_path / "big.txt"
-    _emit(text, str(out))
-    assert out.read_bytes() == text.encode("utf-8")
+    _emit(pieces(), str(out))
+    assert out.read_bytes() == want
+    _emit(pieces(), None)
+    assert capsysbinary.readouterr().out == want

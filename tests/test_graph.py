@@ -208,6 +208,12 @@ def test_export_sha256_pinned_for_heisenberg_5():
 _DOT_QUOTED_ID = re.compile(r'"((?:[^"\\]|\\.)*)"')
 
 
+def test_export_functions_return_text():
+    # package API: compared byte for byte in these tests and measured with len() by perfbench
+    t = build_theta(cyclic(6))
+    assert type(export_json(t)) is str and type(export_dot(t)) is str
+
+
 def test_export_dot_escapes_quotes_and_backslashes_in_ids():
     labels = ["e", 'a"b', "c\\"]
     t = build_theta(from_orders(labels, [1, 2, 2]))

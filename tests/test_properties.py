@@ -559,6 +559,20 @@ def test_analyze_computes_twin_classes_and_connectivity_once(monkeypatch):
     assert connectivity_bfs == [0]
 
 
+def test_analyze_checks_each_certificate_once(monkeypatch):
+    # the cycle and the cut are validated where they are made, not again by the report
+    calls = {"validate_cycle": 0, "components_after_removal": 0}
+    for name in calls:
+        def counting(*args, fn=getattr(thetagraph.properties, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(thetagraph.properties, name, counting)
+    report = analyze_group(dihedral(60), timestamp=False)["properties"]
+    assert report["hamiltonian"]["cycle"] and report["vertex_connectivity"]["witness_cut"]
+    assert calls == {"validate_cycle": 1, "components_after_removal": 1}
+
+
 def test_facts_are_not_shared_between_graphs_of_one_group():
     g = cyclic(7)
     built, corrupted = build_theta(g), corrupting_builder(g)
