@@ -7,9 +7,9 @@ failed. Logging level comes from THETA_LOG (error|warn|info|debug).
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import csv
-import io
 import json
 import logging
 import os
@@ -170,16 +170,26 @@ def _group_from_args(args: argparse.Namespace) -> groups.GroupSpec:
     return parse_selector(text)
 
 
-def _emit(pieces, out_path: str | None) -> None:
-    """Write the text pieces, one after another, to the file or to stdout."""
+@contextlib.contextmanager
+def _writer(out_path: str | None, append: bool = False):
+    """The one output path of every command: stdout, or the file written over or appended to.
+    A reader that closes the pipe early ends the writing quietly and the command keeps its
+    exit code; any other OSError is exit 1."""
     try:
         with (contextlib.nullcontext(sys.stdout) if out_path is None
-              else open(out_path, "w", encoding="utf-8")) as fh:
-            fh.writelines(pieces)
-    except BrokenPipeError:  # the reader left early (``| head``); stop quietly, flush to devnull
+              else open(out_path, "a" if append else "w", encoding="utf-8", newline="")) as fh:
+            yield fh
+            fh.flush()
+    except BrokenPipeError:  # the reader left early (``| head``); flush what is left to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except OSError as exc:
-        raise SystemExit2(f"cannot write output file: {exc}")
+        raise SystemExit2(f"cannot write output: {exc}")
+
+
+def _emit(pieces, out_path: str | None) -> None:
+    """Write the text pieces, one after another, to the file or to stdout."""
+    with _writer(out_path) as fh:
+        fh.writelines(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -222,91 +232,80 @@ def _cmd_verify(args) -> int:
     builder = verify.corrupting_builder if args.corrupt else build_theta
     results = verify.run_suite(args.suite, build=builder)
     width = max(len(r.name) for r in results)
-    all_ok = True
+    lines = []
     for r in results:
-        status = "PASS" if r.ok else "FAIL"
-        print(f"{r.name:<{width}}  cases={r.cases:<5d} {status}")
-        for failure in r.failures[:10]:
-            print(f"    {failure}")
+        lines.append(f"{r.name:<{width}}  cases={r.cases:<5d} {'PASS' if r.ok else 'FAIL'}\n")
+        lines += [f"    {failure}\n" for failure in r.failures[:10]]
         if len(r.failures) > 10:
-            print(f"    ... {len(r.failures) - 10} more failures")
-        all_ok = all_ok and r.ok
-    print(f"verify: {'all checks passed' if all_ok else 'FAILURES detected'}")
+            lines.append(f"    ... {len(r.failures) - 10} more failures\n")
+    all_ok = all(r.ok for r in results)
+    lines.append(f"verify: {'all checks passed' if all_ok else 'FAILURES detected'}\n")
+    _emit(lines, None)
     return EXIT_OK if all_ok else EXIT_CROSSCHECK
+
+
+def _completed_rows(path: str) -> set[tuple[str, str]] | None:
+    """(family, params) of every row of the search CSV at ``path``; None if it is missing or empty."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                return None
+            if reader.fieldnames != SEARCH_CSV_HEADER:
+                raise SystemExit2(f"{path} is not a search CSV: its header is not "
+                                  + ",".join(SEARCH_CSV_HEADER))
+            return {(row["family"], row["params"]) for row in reader}
+    except FileNotFoundError:
+        return None
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise SystemExit2(f"cannot read {path}: {exc}")
 
 
 def _cmd_search(args) -> int:
     if args.max_order < 3:
         raise SystemExit2("--max-order must be at least 3")
+    if args.skip_completed and args.out is None:
+        raise SystemExit2("--skip-completed needs --out")
     families = [f.strip() for f in args.families.split(",")] if args.families else groups.FAMILIES
     try:
         candidates = groups.enumerate_groups(args.max_order, families)
     except ValueError as exc:
         raise SystemExit2(str(exc))
 
-    done: set[tuple[str, str]] = set()
-    if args.skip_completed and args.out and os.path.exists(args.out):
-        with open(args.out, "r", encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
-                done.add((row["family"], row["params"]))
-
-    records = []
-    for order, family, params, g in candidates:
-        if (family, params) in done:
-            continue
-        started = time.perf_counter()
-        t = build_theta(g)
-        complete = is_complete(t)
-        conn = vertex_connectivity(t)
-        s_size = prime_order_set(t).size
-        classification = open_problem_classify(t)
-        ms = int(round((time.perf_counter() - started) * 1000))
-        records.append(
-            {
+    done = _completed_rows(args.out) if args.skip_completed else None
+    appending = done is not None
+    summary: collections.Counter[str] = collections.Counter()
+    with _writer(args.out, appending) as out, (
+        contextlib.nullcontext() if args.out is None
+        else _writer(args.out.removesuffix(".csv") + ".jsonl", appending)
+    ) as jsonl:
+        rows = csv.DictWriter(out, fieldnames=SEARCH_CSV_HEADER)
+        if not appending:
+            rows.writeheader()
+        for order, family, params, g in candidates:
+            if appending and (family, params) in done:
+                continue
+            started = time.perf_counter()
+            t = build_theta(g)
+            record = {
                 "family": family,
                 "params": params,
                 "order": order,
-                "complete": complete,
-                "kappa": conn.kappa,
-                "s_size": s_size,
-                "class": classification,
-                "ms": ms,
+                "complete": is_complete(t),
+                "kappa": vertex_connectivity(t).kappa,
+                "s_size": prime_order_set(t).size,
+                "class": open_problem_classify(t),
             }
-        )
-
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=SEARCH_CSV_HEADER)
-    appending = bool(args.skip_completed and args.out and os.path.exists(args.out))
-    if not appending:
-        writer.writeheader()
-    for rec in records:
-        writer.writerow(rec)
-    csv_text = buf.getvalue()
-
-    if args.out:
-        try:
-            with open(args.out, "a" if appending else "w", encoding="utf-8", newline="") as fh:
-                fh.write(csv_text)
-            jsonl_path = (
-                args.out[: -len(".csv")] + ".jsonl" if args.out.endswith(".csv") else args.out + ".jsonl"
-            )
-            with open(jsonl_path, "a" if appending else "w", encoding="utf-8") as fh:
-                for rec in records:
-                    fh.write(json.dumps(rec) + "\n")
-        except OSError as exc:
-            raise SystemExit2(f"cannot write search output: {exc}")
-    else:
-        sys.stdout.write(csv_text)
-
-    summary: dict[str, int] = {}
-    for rec in records:
-        summary[rec["class"]] = summary.get(rec["class"], 0) + 1
-    print(
-        "search summary: "
-        + ", ".join(f"{k}={v}" for k, v in sorted(summary.items()))
-        + f" (total {len(records)})",
-        file=sys.stderr,
-    )
+            record["ms"] = int(round((time.perf_counter() - started) * 1000))
+            # each row reaches the file as soon as it is made, so a stopped sweep can resume
+            rows.writerow(record)
+            out.flush()
+            if jsonl is not None:
+                jsonl.write(json.dumps(record) + "\n")
+                jsonl.flush()
+            summary[record["class"]] += 1
+        counts = ", ".join(f"{k}={v}" for k, v in sorted(summary.items()))
+        print(f"search summary: {counts} (total {summary.total()})", file=sys.stderr)
     return EXIT_OK
 
 

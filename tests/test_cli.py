@@ -11,8 +11,8 @@ import pytest
 
 import thetagraph.cli
 from thetagraph import build_theta, cyclic, export_dot, export_json, validate_cycle
-from thetagraph.cli import _emit, main, parse_selector
-from thetagraph.properties import components_after_removal
+from thetagraph.cli import SEARCH_CSV_HEADER, _emit, main, parse_selector
+from thetagraph.properties import CrossCheckError, components_after_removal
 
 
 def run_cli(capsys, *argv):
@@ -241,14 +241,25 @@ def test_export_at_max_elements_streams_without_holding_the_text(fmt, out):
     assert int(peak_kib) < 256 * 1024
 
 
-@pytest.mark.parametrize("fmt", ["json", "dot"])
-def test_export_into_a_pipe_closed_early_exits_0_quietly(fmt):
+@pytest.mark.parametrize(
+    "argv, head",
+    [
+        (["export", "--format", "json", "--heisenberg", "11"], 20),
+        (["export", "--format", "dot", "--heisenberg", "11"], 20),
+        (["search", "--max-order", "200"], 20),
+        # verify writes its report in one piece after its checks, so only a reader that
+        # has already left finds the pipe closed
+        (["verify", "--suite", "all"], 0),
+    ],
+    ids=["export-json", "export-dot", "search", "verify"],
+)
+def test_output_into_a_pipe_closed_early_exits_0_quietly(argv, head):
     proc = subprocess.Popen(
-        [sys.executable, "-m", "thetagraph.cli", "export", "--format", fmt, "--heisenberg", "11"],
+        [sys.executable, "-m", "thetagraph.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
     )
-    assert len(proc.stdout.read(20)) == 20
-    proc.stdout.close()  # as ``| head -c 20`` does, long before the 30 MB are written
+    assert len(proc.stdout.read(head)) == head
+    proc.stdout.close()  # as ``| head -c N`` does, long before the whole output is written
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 0
     assert err == b""
@@ -421,6 +432,80 @@ def test_search_ms_times_the_build_too(capsys, monkeypatch):
     assert code == 0
     rows = list(csv.DictReader(out.splitlines()))
     assert len(rows) == 2 and all(int(r["ms"]) >= 50 for r in rows)
+
+
+def _search_rows(csv_path):
+    """The CSV header and rows and the .jsonl records of a search, with ``ms`` dropped."""
+    with open(csv_path, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    records = [json.loads(line) for line in csv_path.with_suffix(".jsonl").read_text().splitlines()]
+    for record in records:
+        del record["ms"]
+    return header, [row[:-1] for row in rows], records
+
+
+def test_search_stopped_sweep_keeps_its_rows_and_resumes(tmp_path, capsys, monkeypatch):
+    argv = ["search", "--max-order", "16", "--families", "cyclic,dihedral"]
+    full, part = tmp_path / "full.csv", tmp_path / "part.csv"
+    assert main([*argv, "--out", str(full)]) == 0
+    header, rows, records = _search_rows(full)
+    classify, calls, k = thetagraph.cli.open_problem_classify, [], 7
+
+    def stop_at_k(t):
+        calls.append(t)
+        if len(calls) == k:
+            raise CrossCheckError("sweep stopped")
+        return classify(t)
+
+    monkeypatch.setattr(thetagraph.cli, "open_problem_classify", stop_at_k)
+    assert main([*argv, "--out", str(part)]) == 2
+    assert _search_rows(part) == (SEARCH_CSV_HEADER, rows[: k - 1], records[: k - 1])
+    monkeypatch.setattr(thetagraph.cli, "open_problem_classify", classify)
+    assert main([*argv, "--out", str(part), "--skip-completed"]) == 0
+    assert _search_rows(part) == (header, rows, records)
+    assert len(rows) > k
+
+
+@pytest.mark.parametrize("existing", [None, b""], ids=["missing", "empty"])
+def test_search_skip_completed_starts_a_missing_or_empty_csv_with_its_header(tmp_path, capsys, existing):
+    out_path = tmp_path / "scan.csv"
+    if existing is not None:
+        out_path.write_bytes(existing)
+    argv = ["search", "--max-order", "8", "--families", "cyclic", "--out", str(out_path), "--skip-completed"]
+    assert main(argv) == 0
+    assert main(argv) == 0  # nothing is left to classify
+    header, rows, records = _search_rows(out_path)
+    assert header == SEARCH_CSV_HEADER
+    assert [row[1] for row in rows] == [record["params"] for record in records] == [f"n={n}" for n in range(3, 9)]
+
+
+def test_search_skip_completed_refuses_a_csv_with_another_header(tmp_path, capsys):
+    out_path = tmp_path / "other.csv"
+    out_path.write_bytes(b"name,value\r\ncyclic,n=3\r\n")
+    code, out, err = run_cli(
+        capsys, "search", "--max-order", "8", "--out", str(out_path), "--skip-completed"
+    )
+    assert code == 1 and str(out_path) in err and "Traceback" not in err
+    assert out_path.read_bytes() == b"name,value\r\ncyclic,n=3\r\n"
+    assert not (tmp_path / "other.jsonl").exists()
+
+
+def test_search_skip_completed_without_out_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "search", "--max-order", "8", "--skip-completed")
+    assert code == 1 and out == "" and "--out" in err
+
+
+def test_search_out_into_a_missing_directory_exits_1_before_any_build(tmp_path, capsys, monkeypatch):
+    build, calls = thetagraph.cli.build_theta, []
+
+    def counting_build(g):
+        calls.append(g)
+        return build(g)
+
+    monkeypatch.setattr(thetagraph.cli, "build_theta", counting_build)
+    code, _, err = run_cli(capsys, "search", "--max-order", "64", "--out", str(tmp_path / "missing" / "x.csv"))
+    assert code == 1 and "cannot write" in err
+    assert calls == []
 
 
 def test_search_rejects_bad_family(capsys):
