@@ -8,7 +8,7 @@ defining presentations where an independent oracle is wanted.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm
@@ -29,6 +29,7 @@ __all__ = [
     "elementary_abelian",
     "enumerate_groups",
     "from_orders",
+    "group_keys",
     "heisenberg",
     "order_profile",
 ]
@@ -285,13 +286,14 @@ def _cyclic_product(a: int, b: int) -> GroupSpec:
     return direct_product(cyclic(a), cyclic(b))
 
 
-def enumerate_groups(max_order: int, families) -> Iterator[tuple[int, str, str, GroupSpec]]:
-    """Every built-in group of order <= max_order in the given families.
+def group_keys(max_order: int, families) -> list[tuple[int, str, str, Callable, tuple]]:
+    """Every built-in group of order <= max_order in the given families, not yet built.
 
-    Yields (order, family, params, GroupSpec) sorted by (order, family,
-    params), where params is a compact text such as ``n=6``, ``p=3,m=2`` or
-    ``cyclic(2)xcyclic(3)``. Each spec is built only when it is yielded; an
-    unknown family or a max_order above MAX_ELEMENTS raises ValueError at once.
+    Returns (order, family, params, constructor, args) sorted by (order,
+    family, params), where params is a compact text such as ``n=6``,
+    ``p=3,m=2`` or ``cyclic(2)xcyclic(3)`` and ``constructor(*args)`` builds
+    the spec. An unknown family or a max_order above MAX_ELEMENTS raises
+    ValueError.
     """
     if max_order > MAX_ELEMENTS:
         raise ValueError(f"max_order {max_order} is above MAX_ELEMENTS = {MAX_ELEMENTS}")
@@ -320,4 +322,12 @@ def enumerate_groups(max_order: int, families) -> Iterator[tuple[int, str, str, 
         found += [(a * b, "product", f"cyclic({a})xcyclic({b})", _cyclic_product, (a, b))
                   for a in range(2, max_order // 2 + 1) for b in range(a, max_order // a + 1)]
     found.sort(key=lambda item: item[:3])
-    return ((order, family, params, build(*args)) for order, family, params, build, args in found)
+    return found
+
+
+def enumerate_groups(max_order: int, families) -> Iterator[tuple[int, str, str, GroupSpec]]:
+    """(order, family, params, GroupSpec) for each of ``group_keys``, in its
+    order; each spec is built only when it is yielded, and bad arguments raise
+    ValueError at once."""
+    return ((order, family, params, build(*args))
+            for order, family, params, build, args in group_keys(max_order, families))

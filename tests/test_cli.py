@@ -347,11 +347,36 @@ def test_verify_spectra_suite_passes(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_verify_corrupt_negative_control(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "spectra", "--corrupt")
+# a failure each suite reports when every built graph has one adjacency bit flipped
+CORRUPT_FAILURE = {
+    "spectra": "closed form differs",
+    "equitable": "theorem partition is not equitable",
+    "connectivity": "kappa != n-1 for prime n",
+    "properties": "cross-check raised",
+    "universals": "cross-check raised",
+    "all": "closed form differs",
+}
+
+
+@pytest.mark.parametrize("suite", list(CORRUPT_FAILURE))
+def test_verify_corrupt_negative_control(capsys, suite):
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--corrupt")
     assert code == 2
     assert "FAIL" in out
-    assert "closed form differs" in out or "cross-check" in out
+    assert CORRUPT_FAILURE[suite] in out
+
+
+def test_verify_names_a_check_that_raises_by_its_title(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "properties", "--corrupt")
+    assert code == 2
+    names = [line.split("  cases=")[0].rstrip() for line in out.splitlines() if "cases=" in line]
+    assert names == [
+        "structure: eulerian iff odd order with prime element orders",
+        "structure: completeness iff no composite element order",
+        "structure: cyclic planar iff n=3 or n=2^i",
+        "structure: cyclic pq hamiltonian iff p=2",
+    ]
+    assert "    cross-check raised: eulerian criteria disagree on cyclic(3)" in out
 
 
 def test_verify_connectivity_suite(capsys):
