@@ -33,6 +33,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CROSSCHECK = 2
 
+# product(...) selectors nest at most this deep, which keeps the parser's recursion
+# bounded; a product of more than 12 non-trivial factors is over MAX_ELEMENTS anyway
+_MAX_PRODUCT_NESTING = 32
+
 SEARCH_CSV_HEADER = ["family", "params", "order", "complete", "kappa", "s_size", "class", "ms"]
 
 
@@ -101,16 +105,18 @@ def parse_selector(text: str) -> groups.GroupSpec:
     text = text.strip()
     if text.startswith("product(") and text.endswith(")"):
         inner = text[len("product(") : -1]
-        depth = 0
+        depth = deepest = 0
         split_at = -1
         for k, ch in enumerate(inner):
             if ch == "(":
                 depth += 1
+                deepest = max(deepest, depth)
             elif ch == ")":
                 depth -= 1
-            elif ch == "," and depth == 0:
+            elif ch == "," and depth == 0 and split_at < 0:
                 split_at = k
-                break
+        if deepest >= _MAX_PRODUCT_NESTING:
+            raise SystemExit2(f"product selector nests more than {_MAX_PRODUCT_NESTING} deep")
         if split_at < 0:
             raise SystemExit2(f"malformed product selector: {text!r}")
         left, right = parse_selector(inner[:split_at]), parse_selector(inner[split_at + 1 :])

@@ -202,33 +202,21 @@ def elementary_abelian(p: int, m: int) -> GroupSpec:
 def heisenberg(p: int) -> GroupSpec:
     """Upper unitriangular 3x3 matrices over F_p, enumerated explicitly.
 
-    A matrix is the triple (a, b, c) of its strictly-upper entries; orders
-    are found by repeated multiplication.
+    A matrix is the triple (a, b, c) of its strictly-upper entries, and
+    (a, b, c)^k = (ka, kb + C(k,2)ac, kc). For odd p, C(p,2) is divisible by
+    p, so every other element has order p. For p = 2 (the dihedral group of
+    order 8) (1, b, 1) squares to (0, 1, 0) and has order 4; the rest have
+    order 2. Tests confirm this against a multiplication table.
     """
     if not is_prime(p):
         raise ValueError(f"heisenberg requires a prime p, got {p}")
     _check_size(f"heisenberg({p})", p**3)
-
-    def mul(m1, m2):
-        a1, b1, c1 = m1
-        a2, b2, c2 = m2
-        return ((a1 + a2) % p, (b1 + b2 + a1 * c2) % p, (c1 + c2) % p)
-
-    identity = (0, 0, 0)
-    labels = []
-    orders = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                m = (a, b, c)
-                labels.append(f"({a},{b},{c})")
-                x = m
-                o = 1
-                while x != identity:
-                    x = mul(x, m)
-                    o += 1
-                orders.append(o)
-    return GroupSpec("heisenberg", {"p": p}, tuple(labels), tuple(orders))
+    triples = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
+    labels = tuple(f"({a},{b},{c})" for a, b, c in triples)
+    orders = tuple(
+        1 if a == b == c == 0 else 4 if p == 2 and a == c == 1 else p for a, b, c in triples
+    )
+    return GroupSpec("heisenberg", {"p": p}, labels, orders)
 
 
 def direct_product(g: GroupSpec, h: GroupSpec) -> GroupSpec:

@@ -2,6 +2,11 @@
 (``eigvalsh`` via numpy), exact closed-form spectra for the cyclic and
 dihedral families, and equitable partition quotients.
 
+The closed forms are one formula, the spectrum of a complete split graph
+(a clique of universal vertices joined to an independent set). The graphs
+of Z_n and D_n are complete split graphs exactly when n is a prime p, a
+prime power p^m or a product pq of two distinct primes.
+
 The closed forms are kept exact as quadratic surds; rounding enters only at
 the single comparison boundary against the numeric solver.
 """
@@ -15,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graph import ThetaGraph
-from .numtheory import euler_phi, factorize, squarefree_split
+from .numtheory import factorize, squarefree_split
 
 __all__ = [
     "EquitablePartition",
@@ -183,85 +188,35 @@ def eig_sym(m: np.ndarray) -> SpectrumResult:
 # ---------------------------------------------------------------------------
 
 
-def _order_shape(n: int) -> tuple[str, tuple[int, ...]]:
-    if n < 2:
-        raise UnsupportedFamilyError(
-            f"n={n} has no closed-form spectrum; supported shapes: prime p, "
-            "prime power p^m (m>=2), product of two distinct primes pq"
-        )
-    f = factorize(n)
-    if len(f) == 1:
-        p, e = f.factors[0]
-        return ("prime", (p,)) if e == 1 else ("prime_power", (p, e))
-    if len(f) == 2 and all(e == 1 for _, e in f):
-        (p, _), (q, _) = f.factors
-        return "semiprime", (p, q)
-    raise UnsupportedFamilyError(
-        f"n={n} has no closed-form spectrum; supported shapes: prime p, "
-        "prime power p^m (m>=2), product of two distinct primes pq"
-    )
-
-
 def closed_form_spectrum(family: str, n: int) -> SpectrumResult:
     """Exact spectrum of Q for the cyclic or dihedral group parameterized
     by n, for n prime, a prime power, or a product of two distinct primes.
 
-    Coincident values (possible after parameter substitution) are merged
-    exactly before the result is built.
+    For exactly these n the graph is a complete split graph: the s elements
+    of order 1 or a prime (1 + sum of p - 1 over the primes p | n, plus the
+    n reflections of D_n) are universal, and the t others are pairwise
+    non-adjacent. On N = s + t vertices its spectrum is N - 2 (true twins)
+    s - 1 times, s (false twins) t - 1 times, and the two roots of the 2 x 2
+    quotient, x^2 - (N + 2s - 2)x + 2s(s - 1); with t = 0 it is K_N.
+    Coincident values are merged exactly before the result is built.
     """
     if family not in ("cyclic", "dihedral"):
         raise UnsupportedFamilyError(f"no closed-form spectrum for family {family!r}")
-    shape, params = _order_shape(n)
-    pairs: list[tuple[Surd, int]]
-    if family == "cyclic":
-        if shape == "prime":
-            pairs = [(Surd.of(2 * (n - 1)), 1), (Surd.of(n - 2), n - 1)]
-        elif shape == "semiprime":
-            p, q = params
-            hi, lo = Surd.quadratic_pair(
-                p * q + 2 * p + 2 * q - 4, 2 * (p + q - 1) * (p + q - 2)
-            )
-            pairs = [
-                (Surd.of(p + q - 1), p * q - p - q),
-                (Surd.of(p * q - 2), p + q - 2),
-                (hi, 1),
-                (lo, 1),
-            ]
-        else:
-            p, _ = params
-            hi, lo = Surd.quadratic_pair(n + 2 * p - 2, 2 * p * (p - 1))
-            pairs = [
-                (Surd.of(p), n - p - 1),
-                (Surd.of(n - 2), p - 1),
-                (hi, 1),
-                (lo, 1),
-            ]
+    f = factorize(n) if n >= 2 else ()
+    if not (len(f) == 1 or (len(f) == 2 and all(e == 1 for _, e in f))):
+        raise UnsupportedFamilyError(
+            f"n={n} has no closed-form spectrum; supported shapes: prime p, "
+            "prime power p^m (m>=2), product of two distinct primes pq"
+        )
+    size, s = n, 1 + sum(p - 1 for p, _ in f)
+    if family == "dihedral":
+        size, s = 2 * n, s + n
+    t = size - s
+    if t == 0:
+        pairs = [(Surd.of(2 * (size - 1)), 1), (Surd.of(size - 2), size - 1)]
     else:
-        if shape == "prime":
-            # complete graph on the 2n group elements
-            pairs = [(Surd.of(2 * (2 * n - 1)), 1), (Surd.of(2 * n - 2), 2 * n - 1)]
-        elif shape == "semiprime":
-            phi = euler_phi(n)
-            b = 3 * n - phi - 1
-            disc_half = n * n + 2 * phi * n - phi * phi - 2 * n + 1
-            hi, lo = Surd.quadratic_pair(2 * b, b * b - disc_half)
-            pairs = [
-                (Surd.of(2 * (n - 1)), 2 * n - phi - 1),
-                (Surd.of(2 * n - phi), phi - 1),
-                (hi, 1),
-                (lo, 1),
-            ]
-        else:
-            p, _ = params
-            b = 2 * n + p - 1
-            disc_half = 2 * n * n - 2 * n - p * p + 1
-            hi, lo = Surd.quadratic_pair(2 * b, b * b - disc_half)
-            pairs = [
-                (Surd.of(2 * n - 2), n + p - 1),
-                (Surd.of(p + n), n - p - 1),
-                (hi, 1),
-                (lo, 1),
-            ]
+        hi, lo = Surd.quadratic_pair(size + 2 * s - 2, 2 * s * (s - 1))
+        pairs = [(Surd.of(size - 2), s - 1), (Surd.of(s), t - 1), (hi, 1), (lo, 1)]
     return _make_spectrum(pairs, "closed_form")
 
 
@@ -341,19 +296,13 @@ def quotient_spectrum(ep: EquitablePartition) -> SpectrumResult:
     square roots of the block sizes (s_i * b_ij = s_j * b_ji for equitable
     partitions), so the symmetric eigensolver ``eig_sym`` applies.
     """
-    sizes = [len(blk) for blk in ep.blocks]
-    k = len(sizes)
+    sizes = np.array([len(blk) for blk in ep.blocks])
     b = ep.counts
-    for i in range(k):
-        for j in range(k):
-            if sizes[i] * b[i, j] != sizes[j] * b[j, i]:
-                raise ValueError("neighbor counts violate the edge-count identity")
-    m = np.zeros((k, k))
-    for i in range(k):
-        m[i, i] = float(ep.quotient[i, i])
-        for j in range(i + 1, k):
-            v = math.sqrt(float(b[i, j] * b[j, i]))
-            m[i, j] = m[j, i] = v
+    edges = sizes[:, None] * b
+    if not np.array_equal(edges, edges.T):
+        raise ValueError("neighbor counts violate the edge-count identity")
+    m = np.sqrt(b * b.T)
+    np.fill_diagonal(m, ep.quotient.diagonal())
     return eig_sym(m)
 
 

@@ -19,7 +19,6 @@ its graph to every check that visits it.
 from __future__ import annotations
 
 import inspect
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import groups, properties as props, spectra
 from .graph import ThetaGraph, build_theta, min_degree, prime_order_set
-from .numtheory import euler_phi, factorize, is_prime
+from .numtheory import factorize, is_prime
 from .spectra import SPECTRUM_MATCH_TOL
 
 __all__ = ["CheckResult", "SUITES", "corrupting_builder", "run_suite"]
@@ -155,30 +154,19 @@ def _theorem_quotient(t: ThetaGraph, family: str, n: int) -> tuple[list[list[int
     """The theorem's equitable partition of the cyclic or dihedral graph
     and its closed-form quotient matrix.
 
-    The rotations split into V1 (the identity and the elements of order p
-    for n = p^m, the non-generators for n = pq) and V2, the rest; the
-    dihedral graph adds the reflections as V3.
+    The rotations split into V1, the s rotations in S(G), and V2, the
+    rest; the dihedral graph adds the reflections as V3.
     """
-    shape = factorize(n).factors
-    if len(shape) == 1:
-        p = shape[0][0]
-        v1 = [k for k in range(n) if k == 0 or t.group.orders[k] == p]
-    else:
-        v1 = [k for k in range(n) if math.gcd(k, n) != 1]
-    in_v1 = set(v1)
-    v2 = [k for k in range(n) if k not in in_v1]
-    phi = euler_phi(n)
+    in_s = prime_order_set(t).indices
+    v1 = [k for k in range(n) if k in in_s]
+    v2 = [k for k in range(n) if k not in in_s]
+    s = len(v1)
     if family == "cyclic":
-        if len(shape) == 1:
-            return [v1, v2], [[n + p - 2, n - p], [p, p]]
-        return [v1, v2], [[2 * n - phi - 2, phi], [n - phi, n - phi]]
-    v3 = list(range(n, 2 * n))
-    if len(shape) == 1:
-        return [v1, v2, v3], [[2 * (n - 1) + p, n - p, n], [p, n + p, n], [p, n - p, 3 * n - 2]]
-    return [v1, v2, v3], [
-        [3 * n - 2 - phi, phi, n],
-        [n - phi, 2 * n - phi, n],
-        [n - phi, phi, 3 * n - 2],
+        return [v1, v2], [[n + s - 2, n - s], [s, s]]
+    return [v1, v2, list(range(n, 2 * n))], [
+        [2 * n + s - 2, n - s, n],
+        [s, n + s, n],
+        [s, n - s, 3 * n - 2],
     ]
 
 

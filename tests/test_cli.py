@@ -321,6 +321,26 @@ def test_parse_selector_nested_product():
     assert g.size == 30
 
 
+def _nested_product(depth):
+    sel = "cyclic:1"
+    for _ in range(depth):
+        sel = f"product({sel},cyclic:1)"
+    return sel
+
+
+def test_parse_selector_nesting_at_the_limit():
+    g = parse_selector(_nested_product(thetagraph.cli._MAX_PRODUCT_NESTING))
+    assert g.size == 1
+
+
+def test_deeply_nested_product_is_exit_1(capsys):
+    # 1200 levels used to overflow the parser's recursion with a RecursionError
+    code, out, err = run_cli(capsys, "analyze", "--product", _nested_product(1199), "cyclic:2")
+    assert code == 1
+    assert out == ""
+    assert "nests more than" in err
+
+
 def test_product_flag(capsys):
     code, out, _ = run_cli(
         capsys, "analyze", "--product", "cyclic:3", "cyclic:3", "--no-timestamp"

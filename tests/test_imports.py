@@ -1,0 +1,46 @@
+"""Every module of the package uses each name it imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import thetagraph
+
+PACKAGE = Path(thetagraph.__file__).parent
+# the package's __init__ imports only to re-export
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets)
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_unused_imports(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_is_caught():
+    source = "import math\nfrom .numtheory import euler_phi, factorize\nfactorize(6)\n"
+    assert _unused_imports(source) == ["euler_phi (line 2)", "math (line 1)"]
+
+
+def test_names_in_all_count_as_used():
+    assert _unused_imports('from math import gcd\n__all__ = ["gcd"]\n') == []

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thetagraph.graph import build_theta
+from thetagraph.graph import build_theta, prime_order_set
 from thetagraph.groups import cyclic, dihedral, heisenberg
 from thetagraph.spectra import (
     Surd,
@@ -214,11 +214,39 @@ def test_closed_form_unsupported_shapes():
         closed_form_spectrum("cyclic", 36)  # 2^2 * 3^2
 
 
-@pytest.mark.parametrize("family, n", [("cyclic", 6), ("cyclic", 9), ("cyclic", 25), ("dihedral", 6), ("dihedral", 9)])
+def _supported(family, n):
+    try:
+        closed_form_spectrum(family, n)
+    except UnsupportedFamilyError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [(f, n) for f in ("cyclic", "dihedral") for n in range(2, 101) if _supported(f, n)],
+)
 def test_closed_form_matches_eigensolver(family, n):
     ctor = cyclic if family == "cyclic" else dihedral
-    t = build_theta(ctor(n))
-    assert spectra_equal(closed_form_spectrum(family, n), eig_sym(build_Q(t)), TOL)
+    closed = closed_form_spectrum(family, n)
+    numeric = eig_sym(build_Q(build_theta(ctor(n))))
+    assert spectra_equal(closed, numeric, TOL)
+    assert [m for _, m in numeric.entries] == [m for _, m in closed.entries]
+
+
+@pytest.mark.parametrize("family", ["cyclic", "dihedral"])
+def test_closed_form_domain_is_the_complete_split_graphs(family):
+    # the graph is a clique S(G) of universal vertices joined to an
+    # independent set exactly for the n the closed form supports
+    ctor = cyclic if family == "cyclic" else dihedral
+    for n in range(2, 301):
+        t = build_theta(ctor(n))
+        in_s = np.zeros(t.n_vertices, dtype=bool)
+        in_s[sorted(prime_order_set(t).indices)] = True
+        split = bool(
+            (t.degrees[in_s] == t.n_vertices - 1).all() and not t.adj[np.ix_(~in_s, ~in_s)].any()
+        )
+        assert split == _supported(family, n), f"{family}({n})"
 
 
 # ---------------------------------------------------------------------------
