@@ -80,7 +80,7 @@ def _load_custom(path: str) -> groups.GroupSpec:
             doc = json.load(fh)
     except OSError as exc:
         raise SystemExit2(f"cannot read custom group file: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise SystemExit2(f"custom group file is not valid JSON: {exc}")
     if not isinstance(doc, dict) or "labels" not in doc or "orders" not in doc:
         raise SystemExit2('custom group file must be {"labels": [...], "orders": [...]}')
@@ -94,6 +94,13 @@ def _load_custom(path: str) -> groups.GroupSpec:
         return groups.from_orders([str(x) for x in labels], orders)
     except ValueError as exc:
         raise SystemExit2(f"invalid custom group: {exc}")
+
+
+def _product(text: str, left: groups.GroupSpec, right: groups.GroupSpec) -> groups.GroupSpec:
+    try:
+        return groups.direct_product(left, right)
+    except ValueError as exc:
+        raise SystemExit2(f"invalid selector {text!r}: {exc}")
 
 
 def parse_selector(text: str) -> groups.GroupSpec:
@@ -119,11 +126,7 @@ def parse_selector(text: str) -> groups.GroupSpec:
             raise SystemExit2(f"product selector nests more than {_MAX_PRODUCT_NESTING} deep")
         if split_at < 0:
             raise SystemExit2(f"malformed product selector: {text!r}")
-        left, right = parse_selector(inner[:split_at]), parse_selector(inner[split_at + 1 :])
-        try:
-            return groups.direct_product(left, right)
-        except ValueError as exc:
-            raise SystemExit2(f"invalid selector {text!r}: {exc}")
+        return _product(text, parse_selector(inner[:split_at]), parse_selector(inner[split_at + 1 :]))
     head, _, rest = text.partition(":")
     try:
         if head == "cyclic":
@@ -168,12 +171,10 @@ def _group_from_args(args: argparse.Namespace) -> groups.GroupSpec:
     name = chosen[0]
     value = getattr(args, name)
     if name == "elem_abelian":
-        text = "elem-abelian:{}:{}".format(*value)
-    elif name == "product":
-        text = "product({},{})".format(*value)
-    else:
-        text = f"{name}:{value}"
-    return parse_selector(text)
+        return parse_selector("elem-abelian:{}:{}".format(*value))
+    if name == "product":  # each operand on its own, so a custom: path may hold a comma
+        return _product("product({},{})".format(*value), *map(parse_selector, value))
+    return parse_selector(f"{name}:{value}")
 
 
 @contextlib.contextmanager

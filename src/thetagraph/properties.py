@@ -411,72 +411,34 @@ class ConnectivityResult:
     method: str  # complete_rule | max_flow
 
 
-class _SplitFlowNet:
-    """Vertex-split digraph over weighted nodes: x_in = 2x, x_out = 2x+1.
+def _min_cut(arcs: list[dict[int, int]], s: int, sink: int) -> tuple[int, set[int]]:
+    """Edmonds-Karp max-flow from s to sink over the residual capacities
+    arcs[u][v], worked on a copy so arcs is left as it was.
 
-    The split arc of node x carries its weight (the size of a twin class,
-    1 for a single vertex); connection arcs carry the total weight plus one,
-    so a minimum cut consists of split arcs only and its value is the total
-    weight of the nodes it removes."""
-
-    def __init__(self, weights: list[int], edges):
-        self.size = len(weights)
-        self.head: list[int] = []
-        self.cap: list[int] = []
-        self.graph: list[list[int]] = [[] for _ in range(2 * self.size)]
-        big = sum(weights) + 1
-        for x, w in enumerate(weights):
-            self._add(2 * x, 2 * x + 1, w)
-        for a, b in edges:
-            self._add(2 * a + 1, 2 * b, big)
-            self._add(2 * b + 1, 2 * a, big)
-
-    def _add(self, u: int, v: int, c: int) -> None:
-        self.graph[u].append(len(self.head))
-        self.head.append(v)
-        self.cap.append(c)
-        self.graph[v].append(len(self.head))
-        self.head.append(u)
-        self.cap.append(0)
-
-    def max_flow(self, s: int, sink: int) -> int:
-        flow = 0
-        while (pred := self._bfs(s, sink))[sink] != -1:
-            bottleneck = min(self.cap[eid] for eid in self._path_edges(pred, sink))
-            for eid in self._path_edges(pred, sink):
-                self.cap[eid] -= bottleneck
-                self.cap[eid ^ 1] += bottleneck
-            flow += bottleneck
-        return flow
-
-    def _bfs(self, s: int, sink: int) -> list[int]:
-        """Residual BFS from s until sink is reached: pred[v] is the arc into v,
-        -2 at s and -1 where v is not reached."""
-        pred = [-1] * (2 * self.size)
-        pred[s] = -2
+    Returns the flow value and the nodes reached from s in the final residual
+    graph; the arcs leaving them form a minimum cut."""
+    res = [dict(a) for a in arcs]
+    flow = 0
+    while True:
+        pred = {s: s}  # BFS tree of the residual graph, ended once the sink is reached
         q = deque([s])
-        while q:
+        while q and sink not in pred:
             u = q.popleft()
-            for eid in self.graph[u]:
-                v = self.head[eid]
-                if pred[v] == -1 and self.cap[eid] > 0:
-                    pred[v] = eid
-                    if v == sink:
-                        return pred
+            for v, c in res[u].items():
+                if c > 0 and v not in pred:
+                    pred[v] = u
                     q.append(v)
-        return pred
-
-    def _path_edges(self, pred, sink):
-        v = sink
-        while pred[v] != -2:
-            eid = pred[v]
-            yield eid
-            v = self.head[eid ^ 1]
-
-    def min_cut_nodes(self, s: int) -> list[int]:
-        """After max_flow: the nodes whose split arc crosses the cut."""
-        pred = self._bfs(s, -1)  # no sink: everything reachable from s
-        return [x for x in range(self.size) if pred[2 * x] != -1 and pred[2 * x + 1] == -1]
+        if sink not in pred:
+            return flow, set(pred)
+        path = [sink]
+        while path[-1] != s:
+            path.append(pred[path[-1]])
+        hops = list(zip(path[1:], path))
+        bottleneck = min(res[u][v] for u, v in hops)
+        for u, v in hops:
+            res[u][v] -= bottleneck
+            res[v][u] += bottleneck
+        flow += bottleneck
 
 
 def _twin_classes(t: ThetaGraph) -> list[np.ndarray]:
@@ -491,8 +453,10 @@ def _twin_classes(t: ThetaGraph) -> list[np.ndarray]:
     n = t.n_vertices
 
     def equal_rows(m: np.ndarray) -> np.ndarray:
-        _, inverse = np.unique(np.packbits(m, axis=1), axis=0, return_inverse=True)
-        return inverse.ravel()
+        """Rank of each packed row among the distinct rows, in byte order."""
+        keys = [row.tobytes() for row in np.packbits(m, axis=1)]
+        rank = {key: k for k, key in enumerate(sorted(set(keys)))}
+        return np.array([rank[key] for key in keys])
 
     open_id = equal_rows(t.adj)
     closed_id = equal_rows(t.adj | np.eye(n, dtype=bool))
@@ -536,19 +500,28 @@ def vertex_connectivity(t: ThetaGraph) -> ConnectivityResult:
         if len(c) > 1 and not t.adj[c[0], c[1]] and (best is None or t.degrees[rep] < best):
             best, best_cut = int(t.degrees[rep]), frozenset(t.neighbors(rep).tolist())
     s = int(np.argmin(t.degrees[reps]))
-    ii, jj = np.nonzero(np.triu(q_adj, k=1))
-    net = _SplitFlowNet([len(c) for c in classes], zip(ii.tolist(), jj.tolist()))
-    base_cap = net.cap.copy()
+    # the vertex-split digraph of the classes: x_in = 2x, x_out = 2x+1. The split
+    # arc of class x carries its size; connection arcs carry n + 1, so a minimum
+    # cut consists of split arcs only and its value is the size of the classes it removes
+    arcs: list[dict[int, int]] = [{} for _ in range(2 * len(classes))]
+
+    def add(u: int, v: int, c: int) -> None:
+        arcs[u][v], arcs[v][u] = c, 0
+
+    for x, c in enumerate(classes):
+        add(2 * x, 2 * x + 1, len(c))
+    for a, b in zip(*(ij.tolist() for ij in np.nonzero(np.triu(q_adj, k=1)))):
+        add(2 * a + 1, 2 * b, n + 1)
+        add(2 * b + 1, 2 * a, n + 1)
     pairs = [(s, c) for c in range(len(classes)) if c != s and not q_adj[s, c]]
     ns = np.flatnonzero(q_adj[s]).tolist()
     pairs.extend((a, b) for a, b in combinations(ns, 2) if not q_adj[a, b])
     for a, b in pairs:  # weighted kappa(a, b) of each non-adjacent pair
-        net.cap = base_cap.copy()
-        value = net.max_flow(2 * a + 1, 2 * b)
+        value, reached = _min_cut(arcs, 2 * a + 1, 2 * b)
         if best is None or value < best:
             best = value
-            cut = net.min_cut_nodes(2 * a + 1)
-            best_cut = frozenset(np.concatenate([classes[c] for c in cut]).tolist())
+            cut = [x for x in range(len(classes)) if 2 * x in reached and 2 * x + 1 not in reached]
+            best_cut = frozenset(np.concatenate([classes[x] for x in cut]).tolist())
     assert best is not None and best_cut is not None
     if best > min_degree(t):
         raise CrossCheckError("kappa exceeds the minimum degree")

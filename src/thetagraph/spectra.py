@@ -313,27 +313,23 @@ def quotient_spectrum(ep: EquitablePartition) -> SpectrumResult:
 
 def spectrum_contains(sub: SpectrumResult, full: SpectrumResult, tol: float) -> bool:
     """Multiset containment: every eigenvalue of sub is matched, with
-    multiplicity, by eigenvalues of full within tol."""
-    remaining = [[v, m] for v, m in full.numeric_items()]
-    for value, mult in sub.numeric_items():
-        need = mult
-        candidates = sorted(
-            (entry for entry in remaining if abs(entry[0] - value) <= tol),
-            key=lambda entry: abs(entry[0] - value),
-        )
-        for entry in candidates:
-            take = min(need, entry[1])
-            entry[1] -= take
-            need -= take
-            if need == 0:
-                break
-        if need:
+    multiplicity, by an eigenvalue of full within tol.
+
+    In ascending order, each value of sub takes the smallest unmatched value
+    of full that is at least value - tol. All windows have the same width,
+    so this greedy matching finds one whenever one exists."""
+    values = sorted(v for v, m in sub.numeric_items() for _ in range(m))
+    pool = sorted(v for v, m in full.numeric_items() for _ in range(m))
+    j = 0
+    for value in values:
+        while j < len(pool) and value - pool[j] > tol:
+            j += 1
+        if j == len(pool) or pool[j] - value > tol:
             return False
+        j += 1
     return True
 
 
 def spectra_equal(a: SpectrumResult, b: SpectrumResult, tol: float) -> bool:
     """Same dimension and matching eigenvalue multisets within tol."""
-    if a.dimension != b.dimension:
-        return False
-    return spectrum_contains(a, b, tol) and spectrum_contains(b, a, tol)
+    return a.dimension == b.dimension and spectrum_contains(a, b, tol)

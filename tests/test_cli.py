@@ -341,6 +341,24 @@ def test_deeply_nested_product_is_exit_1(capsys):
     assert "nests more than" in err
 
 
+def test_deeply_nested_custom_file_is_exit_1(tmp_path, capsys):
+    # the JSON decoder raises RecursionError on nesting this deep
+    path = tmp_path / "deep.json"
+    path.write_text('{"labels": ' + "[" * 100_000 + "]" * 100_000 + ', "orders": [1]}')
+    code, out, err = run_cli(capsys, "analyze", "--custom", str(path))
+    assert code == 1
+    assert out == ""
+    assert "custom group file is not valid JSON" in err
+
+
+def test_product_flag_takes_a_custom_path_with_a_comma(tmp_path, capsys):
+    path = tmp_path / "g,1.json"
+    path.write_text(json.dumps({"labels": ["e", "a"], "orders": [1, 2]}))
+    code, out, _ = run_cli(capsys, "analyze", "--product", f"custom:{path}", "cyclic:2", "--no-timestamp")
+    assert code == 0
+    assert json.loads(out)["group"]["order"] == 4
+
+
 def test_product_flag(capsys):
     code, out, _ = run_cli(
         capsys, "analyze", "--product", "cyclic:3", "cyclic:3", "--no-timestamp"

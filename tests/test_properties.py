@@ -26,6 +26,7 @@ from thetagraph.properties import (
     CrossCheckError,
     _bfs_distances,
     _hamiltonian_search,
+    _min_cut,
     _toughness_refutation,
     _twin_classes,
     components_after_removal,
@@ -510,6 +511,44 @@ def test_twin_classes_partition_into_twins():
         for c in classes:
             rows = t.adj[c] if not t.adj[c[0], c[-1]] else closed[c]
             assert (rows == rows[0]).all()
+
+
+def test_twin_classes_match_a_row_sort_on_all_groups_to_order_200():
+    def reference(t):  # the earlier partition, from np.unique row sorts
+        def equal_rows(m):
+            _, inverse = np.unique(np.packbits(m, axis=1), axis=0, return_inverse=True)
+            return inverse.ravel()
+
+        n = t.n_vertices
+        open_id = equal_rows(t.adj)
+        closed_id = equal_rows(t.adj | np.eye(n, dtype=bool))
+        label = np.where(np.bincount(open_id)[open_id] > 1, open_id, n + closed_id)
+        _, class_of = np.unique(label, return_inverse=True)
+        order = np.argsort(class_of, kind="stable")
+        return np.split(order, np.flatnonzero(np.diff(class_of[order])) + 1)
+
+    for _, _, _, g in groups.enumerate_groups(200, groups.FAMILIES):
+        for t in (build_theta(g), corrupting_builder(g)):
+            got, want = _twin_classes(t), reference(t)
+            assert [c.tolist() for c in got] == [c.tolist() for c in want], t.group.describe()
+
+
+def test_min_cut_on_a_small_network():
+    # s=0, sink=5; the arcs 0->1, 2->3 and 2->4 (capacities 3 + 1 + 2) are the minimum cut
+    arcs = [
+        {1: 3, 2: 4},
+        {0: 0, 3: 5},
+        {0: 0, 3: 1, 4: 2},
+        {1: 0, 2: 0, 5: 9},
+        {2: 0, 5: 4},
+        {3: 0, 4: 0},
+    ]
+    before = [dict(a) for a in arcs]
+    flow, reached = _min_cut(arcs, 0, 5)
+    assert flow == 6
+    assert reached == {0, 2}
+    assert sum(c for u in reached for v, c in arcs[u].items() if v not in reached) == flow
+    assert arcs == before
 
 
 # ---------------------------------------------------------------------------

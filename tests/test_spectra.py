@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from thetagraph.graph import build_theta, prime_order_set
 from thetagraph.groups import cyclic, dihedral, heisenberg
 from thetagraph.spectra import (
+    SpectrumResult,
     Surd,
     UnsupportedFamilyError,
     build_Q,
@@ -323,6 +324,9 @@ def test_spectrum_contains_multiplicity_overflow():
     sub4 = eig_sym(np.diag([4.0] * 4))
     assert not spectrum_contains(sub5, full, TOL)
     assert spectrum_contains(sub4, full, TOL)
+    # nearest-first matching would pair 0.6 with 0.5 and leave 0.0 without a partner
+    sub = SpectrumResult(((0.6, 1), (0.0, 1)), "numeric")
+    assert spectrum_contains(sub, SpectrumResult(((1.5, 1), (0.5, 1)), "numeric"), 1.0)
 
 
 def test_spectrum_contains_reflexive():
