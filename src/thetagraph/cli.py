@@ -10,6 +10,7 @@ import argparse
 import collections
 import contextlib
 import csv
+import functools
 import json
 import logging
 import os
@@ -321,7 +322,10 @@ def _cmd_search(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged, and
+    each ``_cmd_*`` looks up what it calls when it runs."""
     parser = _Parser(prog="theta", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

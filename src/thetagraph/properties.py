@@ -14,7 +14,6 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-import networkx as nx
 import numpy as np
 
 from .graph import ThetaGraph, min_degree, prime_order_set
@@ -237,20 +236,76 @@ def domination_number(t: ThetaGraph) -> tuple[int, frozenset[int]]:
 # ---------------------------------------------------------------------------
 
 
-def planarity_decision(t: ThetaGraph) -> tuple[bool, str]:
-    """Exact planarity plus the method that decided it.
+def _planar_graph_side(t: ThetaGraph) -> tuple[bool, str]:
+    """Planarity read off the graph alone, with the method that decided it.
 
-    Dense graphs are rejected by the edge bound |E| > 3|V| - 6; everything
-    else goes through the left-right planarity test.
+    Dense graphs are rejected by the edge bound |E| > 3|V| - 6, and every
+    graph on at most 4 vertices is planar. Otherwise the universal vertices
+    U (degree n - 1) decide:
+
+    - |U| >= 4 on n >= 5 vertices gives at least 4n - 10 > 3n - 6 edges, so
+      past the edge bound |U| <= 3.
+    - |U| = 3 gives at least 3n - 6 edges, so G - U has none: G is K_3
+      joined to n - 3 independent vertices, which contains K_{3,3} once
+      n >= 6 and is K_5 minus an edge, a planar graph, at n = 5.
+    - |U| = 2 makes G = K_2 + H with H = G - U, planar iff H is a linear
+      forest (every degree at most 2 and no cycle): a vertex of degree 3 in
+      H gives K_{3,3}, a cycle in H gives K_5 (triangle) or K_{3,3}, and K_2
+      joined to paths is drawn with one universal vertex on each side.
+
+    Only |U| <= 1 on five or more vertices goes to the left-right planarity
+    test of networkx, imported there and nowhere else.
     """
     n, m = t.n_vertices, t.edge_count
     if n >= 3 and m > 3 * n - 6:
         return False, "euler_bound"
+    if n <= 4:
+        return True, "small_graph"
+    universal = np.flatnonzero(t.degrees == n - 1)
+    u = len(universal)
+    if u >= 3:
+        return n == 5, "universal_vertices"
+    if u == 2:
+        h_degrees = t.degrees[t.degrees < n - 1] - 2  # each vertex of H loses its edges to U
+        forest_edges = n - 2 - components_after_removal(t, universal)
+        linear = bool((h_degrees <= 2).all()) and int(h_degrees.sum()) // 2 == forest_edges
+        return linear, "universal_vertices"
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(range(n))
     g.add_edges_from(t.edges())
     ok, _ = nx.check_planarity(g, counterexample=False)
     return bool(ok), "left_right"
+
+
+def planarity_decision(t: ThetaGraph) -> tuple[bool, str]:
+    """Exact planarity plus the method that decided it (see _planar_graph_side),
+    cross-checked against the group side: Θ(G) is planar iff |G| <= 4 or
+    |S(G)| = 2.
+
+    Proof of the group side for |G| >= 5. The members of S(G) are universal
+    vertices, so |S| >= 4 gives K_5: four of them and any fifth vertex. By
+    Cauchy's theorem every prime p dividing |G| adds at least p - 1 elements
+    of order p to S(G), and a group of even order has an odd number of
+    involutions. So |S| = 3 means |G| odd with exactly two elements of order
+    3: a 3-group with a unique subgroup of order 3, which is cyclic, and
+    from Z_9 on S(G) against three other vertices is a K_{3,3}. |S| = 2
+    leaves a 2-group with a unique involution, which is cyclic or generalised
+    quaternion (Burnside; e.g. Gorenstein, Finite Groups, Thm 5.4.10). Its
+    other elements have orders 2^k with k >= 2, any two of which have a gcd
+    of at least 4, so they are pairwise non-adjacent, and K_2 joined to an
+    independent set is planar. |S| = 1 only in the trivial group.
+    """
+    graph_side, method = _planar_graph_side(t)
+    group_side = t.n_vertices <= 4 or prime_order_set(t).size == 2
+    if graph_side != group_side:
+        raise _cross_check_failed(
+            t,
+            f"planarity criteria disagree on {t.group.describe()}: "
+            f"graph={graph_side} group={group_side}",
+        )
+    return graph_side, method
 
 
 def is_planar(t: ThetaGraph) -> bool:

@@ -155,8 +155,12 @@ def _make_spectrum(pairs, kind: str) -> SpectrumResult:
 
 
 def build_Q(t: ThetaGraph) -> np.ndarray:
-    """Signless Laplacian Q = D + A as an exact integer matrix."""
-    return np.diag(t.degrees) + t.adj.astype(np.int64)
+    """Signless Laplacian Q = D + A, built once as float64 for the eigensolver.
+
+    Every entry is an integer below 2^53, so the matrix is exact."""
+    q = t.adj.astype(np.float64)
+    np.fill_diagonal(q, t.degrees)
+    return q
 
 
 def eig_sym(m: np.ndarray) -> SpectrumResult:
@@ -165,13 +169,13 @@ def eig_sym(m: np.ndarray) -> SpectrumResult:
     Close eigenvalues are grouped into multiplicities within
     1e-7 * max(1, ||m||).
     """
-    m = np.asarray(m)
+    m = np.asarray(m, dtype=np.float64)  # no copy when m is float64 already
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("eig_sym requires a square matrix")
     if not np.array_equal(m, m.T):
         raise ValueError("eig_sym requires a symmetric matrix")
     norm = float(np.linalg.norm(m))
-    values = np.linalg.eigvalsh(m.astype(np.float64)).tolist()
+    values = np.linalg.eigvalsh(m).tolist()
     group_tol = MULTIPLICITY_GROUP_TOL * max(1.0, norm)
     groups: list[list[float]] = []
     for v in sorted(values, reverse=True):

@@ -303,6 +303,17 @@ def test_analyze_non_realizable_profile_fails_cross_check(tmp_path, capsys):
     assert "not the order profile" in err
 
 
+def test_analyze_profile_with_a_false_planarity_criterion_exits_2(tmp_path, capsys):
+    # |S| = 2, yet the elements of orders 4 and 6 form a K_{3,3}; no group has
+    # an element of order 6 and none of order 3
+    path = tmp_path / "fake.json"
+    orders = [1, 2, 4, 4, 4, 6, 6, 6, 12, 12, 12, 12]
+    path.write_text(json.dumps({"labels": [f"g{k}" for k in range(12)], "orders": orders}))
+    code, out, err = run_cli(capsys, "analyze", "--custom", str(path), "--no-timestamp")
+    assert code == 2 and out == ""
+    assert "planarity criteria disagree" in err and "not the order profile" in err
+
+
 # ---------------------------------------------------------------------------
 # selectors
 # ---------------------------------------------------------------------------
@@ -609,3 +620,42 @@ def test_emit_writes_pieces_byte_for_byte_to_a_file_and_to_stdout(tmp_path, caps
     assert out.read_bytes() == want
     _emit(pieces(), None)
     assert capsysbinary.readouterr().out == want
+
+
+NETWORKX_PROBE_SCRIPT = """
+import sys
+from thetagraph.cli import main
+loaded = ["networkx" in sys.modules]
+for argv in (["analyze", "--no-timestamp", "--cyclic", "16"], ["verify", "--suite", "properties"]):
+    code = main(argv)
+    loaded.append("networkx" in sys.modules)
+sys.stdout.flush()
+print(code, *loaded, file=sys.stderr)
+"""
+
+
+def test_commands_on_built_in_groups_never_import_networkx():
+    # planarity of a built-in group is decided by its universal vertices; only
+    # the left-right test needs networkx, and it alone imports it
+    proc = subprocess.run(
+        [sys.executable, "-c", NETWORKX_PROBE_SCRIPT],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=_child_env(), check=True,
+    )
+    assert proc.stderr.split() == ["0", "False", "False", "False"]
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code",
+    [
+        (["analyze", "--no-timestamp", "--dicyclic", "3"], 0),
+        (["verify", "--suite", "universals"], 0),
+        (["export", "--format", "dot", "--cyclic", "6"], 0),
+        (["analyze", "--no-such-flag"], 1),
+    ],
+)
+def test_the_same_main_call_twice_in_one_process_gives_the_same_result(capsys, argv, expected_code):
+    first = run_cli(capsys, *argv)
+    second = run_cli(capsys, *argv)
+    assert first == second
+    assert first[0] == expected_code
+    assert thetagraph.cli._build_parser() is thetagraph.cli._build_parser()

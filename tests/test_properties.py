@@ -27,6 +27,7 @@ from thetagraph.properties import (
     _bfs_distances,
     _hamiltonian_search,
     _min_cut,
+    _planar_graph_side,
     _toughness_refutation,
     _twin_classes,
     components_after_removal,
@@ -40,6 +41,7 @@ from thetagraph.properties import (
     is_planar,
     is_singleton_dominating,
     open_problem_classify,
+    planarity_decision,
     validate_cycle,
     vertex_connectivity,
 )
@@ -132,7 +134,8 @@ def test_girth_matches_networkx_on_samples():
 
 def _theta_from_nx(h):
     """A ThetaGraph with the adjacency of the networkx graph h; the group
-    is a placeholder of the same size, since girth reads only the graph."""
+    is a placeholder of the same size, since girth and the graph side of
+    planarity read only the graph."""
     h = nx.convert_node_labels_to_integers(h)
     n = h.number_of_nodes()
     adj = nx.to_numpy_array(h, nodelist=range(n), dtype=bool)
@@ -293,6 +296,68 @@ def test_planarity_matches_networkx_on_samples():
     for g in (cyclic(10), cyclic(32), dihedral(3), dicyclic(2), cyclic(27)):
         t = build_theta(g)
         assert is_planar(t) is bool(nx.check_planarity(_nx_graph(t))[0])
+
+
+def _nx_planar(t):
+    """networkx's verdict. check_planarity rejects more than 3n - 6 edges
+    (n >= 3) before it reads an edge; doing that here first spares building
+    the dense graphs."""
+    n = t.n_vertices
+    if n >= 3 and t.edge_count > 3 * n - 6:
+        return False
+    return bool(nx.check_planarity(_nx_graph(t))[0])
+
+
+def test_planar_graph_side_matches_networkx_on_all_small_groups():
+    planar = set()
+    for _, family, params, g in groups.enumerate_groups(200, groups.FAMILIES):
+        for build in (build_theta, corrupting_builder):
+            t = build(g)
+            value, method = _planar_graph_side(t)
+            assert value is _nx_planar(t), (g.describe(), build.__name__)
+            if build is build_theta:
+                assert method != "left_right", g.describe()
+                assert planarity_decision(t) == (value, method)
+                if value:
+                    planar.add((family, params))
+    # |G| <= 4, the cyclic 2-groups and the generalised quaternion groups dicyclic(2^j)
+    expected = {
+        (family, params)
+        for order, family, params, g in groups.enumerate_groups(200, groups.FAMILIES)
+        if order <= 4 or (family in ("cyclic", "dicyclic") and g.params["n"] & (g.params["n"] - 1) == 0)
+    }
+    assert planar == expected
+    assert ("dicyclic", "n=32") in planar and ("cyclic", "n=128") in planar
+
+
+def _join_k2(h):
+    """K_2 + h: two new vertices adjacent to each other and to every vertex of h."""
+    return nx.complement(nx.disjoint_union(nx.complement(h), nx.empty_graph(2)))
+
+
+@pytest.mark.parametrize(
+    "h, expected, method",
+    [
+        (nx.complete_graph(4), True, "small_graph"),
+        (nx.complete_graph(5), False, "euler_bound"),
+        (_join_k2(nx.cycle_graph(4)), False, "euler_bound"),  # 13 edges on 6 vertices
+        *((_join_k2(nx.path_graph(k)), True, "universal_vertices") for k in (3, 4, 7)),
+        (_join_k2(nx.disjoint_union(nx.path_graph(3), nx.path_graph(2))), True, "universal_vertices"),
+        (_join_k2(nx.empty_graph(5)), True, "universal_vertices"),
+        (_join_k2(nx.disjoint_union(nx.star_graph(3), nx.empty_graph(1))), False, "universal_vertices"),
+        (_join_k2(nx.disjoint_union(nx.cycle_graph(5), nx.path_graph(2))), False, "universal_vertices"),
+        (_join_k2(nx.disjoint_union(nx.cycle_graph(3), nx.empty_graph(2))), False, "universal_vertices"),
+        (nx.complete_multipartite_graph(1, 1, 1, 2), True, "universal_vertices"),  # K_5 minus an edge
+        (nx.complete_multipartite_graph(1, 1, 1, 3), False, "universal_vertices"),  # K_2 + K_{1,3}
+        (nx.complete_bipartite_graph(3, 3), False, "left_right"),
+        (nx.wheel_graph(7), True, "left_right"),  # only the hub is universal
+        (nx.cycle_graph(6), True, "left_right"),
+    ],
+)
+def test_planarity_methods_on_hand_built_graphs(h, expected, method):
+    t = _theta_from_nx(h)
+    assert _planar_graph_side(t) == (expected, method)
+    assert _nx_planar(t) is expected
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,13 @@ from thetagraph.numtheory import is_one_or_prime
 from thetagraph.properties import (
     CrossCheckError,
     _hamiltonian_search,
+    _planar_graph_side,
     components_after_removal,
     girth,
     is_complete,
     is_eulerian,
     is_hamiltonian,
+    planarity_decision,
     validate_cycle,
     vertex_connectivity,
 )
@@ -98,6 +100,13 @@ def test_hamiltonian_pipeline_matches_exhaustive_search(orders):
 def test_girth_matches_networkx_on_any_order_list(orders):
     t = _graph_from_orders(orders)
     assert girth(t) == nx.girth(_nx_graph(t))
+
+
+@settings(deadline=None, max_examples=60)
+@given(orders_strategy)
+def test_planar_graph_side_matches_networkx_on_any_order_list(orders):
+    t = _graph_from_orders(orders)
+    assert _planar_graph_side(t)[0] is bool(nx.check_planarity(_nx_graph(t))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +200,20 @@ def test_fake_profile_trips_dual_criteria_with_diagnosis():
         is_eulerian(t)
     with pytest.raises(CrossCheckError, match="not the order profile"):
         is_complete(t)
+
+
+# Lagrange-consistent but not the profile of any group either: the square of
+# an element of order 6 has order 3, and the list has none. With one
+# involution |S| = 2, which in a group means a planar graph, but the
+# elements of orders 4 and 6 form a K_{3,3}.
+FAKE_PLANAR_PROFILE = [1, 2, 4, 4, 4, 6, 6, 6, 12, 12, 12, 12]
+
+
+def test_fake_profile_trips_the_planarity_cross_check():
+    t = build_theta(from_orders([f"g{k}" for k in range(12)], FAKE_PLANAR_PROFILE))
+    assert _planar_graph_side(t) == (False, "universal_vertices")
+    with pytest.raises(CrossCheckError, match="not the order profile"):
+        planarity_decision(t)
 
 
 def test_fake_profile_graph_computations_still_work():

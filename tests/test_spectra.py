@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thetagraph.graph import build_theta, prime_order_set
-from thetagraph.groups import cyclic, dihedral, heisenberg
+from thetagraph.groups import FAMILIES, cyclic, dihedral, enumerate_groups, heisenberg
 from thetagraph.spectra import (
     SpectrumResult,
     Surd,
@@ -51,6 +51,26 @@ def test_Q_z4_entries():
 def test_Q_trace_is_degree_sum():
     q = build_Q(build_theta(cyclic(6)))
     assert int(np.trace(q)) == 28
+
+
+def test_Q_as_float64_gives_the_eigenvalues_of_the_integer_matrix_bit_for_bit():
+    for _, _, _, g in enumerate_groups(60, FAMILIES):
+        t = build_theta(g)
+        q = build_Q(t)
+        integer_q = np.diag(t.degrees) + t.adj.astype(np.int64)
+        assert q.dtype == np.float64 and np.array_equal(q, integer_q)
+        expected = np.linalg.eigvalsh(integer_q.astype(np.float64))
+        assert np.linalg.eigvalsh(q).tobytes() == expected.tobytes(), g.describe()
+        assert eig_sym(q) == eig_sym(integer_q), g.describe()
+
+
+def test_eig_sym_hands_a_float64_matrix_to_lapack_without_a_copy(monkeypatch):
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m) or eigvalsh(m))
+    q = build_Q(build_theta(cyclic(12)))
+    eig_sym(q)
+    assert len(seen) == 1 and seen[0] is q
 
 
 # ---------------------------------------------------------------------------
