@@ -12,7 +12,7 @@ import datetime as _dt
 
 from . import properties as props
 from . import spectra
-from .graph import ThetaGraph, build_theta, min_degree, prime_order_set
+from .graph import ThetaGraph, build_theta, prime_order_set
 from .groups import GroupSpec, order_profile
 
 __all__ = ["analyze_group", "spectrum_section"]
@@ -74,7 +74,7 @@ def analyze_group(
     report["graph"] = {
         "vertices": n,
         "edges": t.edge_count,
-        "min_degree": min_degree(t),
+        "min_degree": int(t.degrees.min()),
         "max_degree": int(t.degrees.max()),
     }
 
@@ -117,8 +117,8 @@ def analyze_group(
             "witness_cut": sorted(conn.witness_cut) if conn.witness_cut else None,
         },
         "prime_order_set": {
-            "size": s_set.size,
-            "indices": sorted(s_set.indices),
+            "size": len(s_set),
+            "indices": sorted(s_set),
         },
         "open_problem_class": classification,
     }

@@ -301,7 +301,7 @@ def _cmd_search(args) -> int:
                 "order": order,
                 "complete": is_complete(t),
                 "kappa": vertex_connectivity(t).kappa,
-                "s_size": prime_order_set(t).size,
+                "s_size": len(prime_order_set(t)),
                 "class": open_problem_classify(t),
             }
             record["ms"] = int(round((time.perf_counter() - started) * 1000))
@@ -358,8 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="classify families for the open problem")
     p_search.add_argument("--max-order", type=int, required=True, metavar="N")
     p_search.add_argument("--families", metavar="LIST",
-                          help="comma-separated subset of cyclic,dihedral,dicyclic,"
-                               "elementary_abelian,heisenberg,product (default all)")
+                          help=f"comma-separated subset of {','.join(groups.FAMILIES)} (default all)")
     p_search.add_argument("--out", metavar="PATH", help="CSV path; a .jsonl twin is written too")
     p_search.add_argument("--skip-completed", action="store_true",
                           help="skip (family, params) already present in --out and append")

@@ -20,40 +20,49 @@ from .groups import GroupSpec
 from .numtheory import is_one_or_prime
 
 __all__ = [
-    "PrimeOrderSet",
     "ThetaGraph",
-    "adjacent",
     "build_theta",
-    "degree",
     "dot_pieces",
     "export_dot",
     "export_json",
     "json_pieces",
-    "min_degree",
     "prime_order_set",
 ]
 
 
 @dataclass(frozen=True)
 class ThetaGraph:
-    """The graph of ``group``. Construction makes the given ``adj`` and
-    ``degrees`` arrays read-only in place, without copying them."""
+    """The graph of ``group``. Construction makes the given ``adj`` read-only
+    in place, without copying it, and derives read-only ``degrees`` from it."""
 
     group: GroupSpec
     adj: np.ndarray  # (n, n) bool, symmetric, zero diagonal
-    degrees: np.ndarray  # (n,) int
-    warnings: tuple[tuple[str, str], ...] = ()
+    degrees: np.ndarray = field(init=False)  # (n,) int64
     # facts computed from the graph, by name, once each (see properties._once_per_graph)
     facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        degrees = self.adj.sum(axis=1).astype(np.int64)
+        object.__setattr__(self, "degrees", degrees)
         # read-only, so a fact in ``facts`` cannot go stale
         self.adj.setflags(write=False)
-        self.degrees.setflags(write=False)
+        degrees.setflags(write=False)
 
     @property
     def n_vertices(self) -> int:
         return len(self.group.orders)
+
+    @property
+    def warnings(self) -> tuple[tuple[str, str], ...]:
+        """The group's warnings; groups of size <= 2 are accepted but
+        flagged, since the defining setting assumes |G| > 2."""
+        warnings = tuple(self.group.warnings)
+        n = self.n_vertices
+        if n <= 2:
+            warnings += (
+                ("small_group", f"|G|={n} is at or below 2; the graph definition assumes |G|>2"),
+            )
+        return warnings
 
     @property
     def edge_count(self) -> int:
@@ -68,25 +77,12 @@ class ThetaGraph:
         return np.flatnonzero(self.adj[i])
 
 
-@dataclass(frozen=True)
-class PrimeOrderSet:
-    """Identity plus all elements of prime order."""
-
-    indices: frozenset[int]
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-
 def build_theta(g: GroupSpec) -> ThetaGraph:
     """Construct the graph from a group's order profile.
 
     Adjacency is decided once per pair of distinct orders: a gcd table over
     the k order classes of the group, primality of each distinct gcd, then
-    expansion to the n x n matrix by each element's order class. Groups of
-    size <= 2 are accepted but flagged, since the defining setting assumes
-    |G| > 2.
+    expansion to the n x n matrix by each element's order class.
     """
     oc = g.order_classes
     k = len(oc.orders)
@@ -94,37 +90,13 @@ def build_theta(g: GroupSpec) -> ThetaGraph:
     edge = np.array([is_one_or_prime(v) for v in gcds.tolist()])
     adj = edge[gcd_of].reshape(k, k)[np.ix_(oc.class_of, oc.class_of)]
     np.fill_diagonal(adj, False)
-    degrees = adj.sum(axis=1).astype(np.int64)
-    n = len(g.orders)
-    warnings = tuple(g.warnings)
-    if n <= 2:
-        warnings += (
-            ("small_group", f"|G|={n} is at or below 2; the graph definition assumes |G|>2"),
-        )
-    return ThetaGraph(group=g, adj=adj, degrees=degrees, warnings=warnings)
+    return ThetaGraph(g, adj)
 
 
-def adjacent(t: ThetaGraph, i: int, j: int) -> bool:
-    n = t.n_vertices
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"vertex index out of range: ({i},{j}) for n={n}")
-    return bool(t.adj[i, j])
-
-
-def prime_order_set(t: ThetaGraph) -> PrimeOrderSet:
-    """S(G): the identity together with all prime-order elements."""
+def prime_order_set(t: ThetaGraph) -> frozenset[int]:
+    """S(G): the indices of the identity and of all prime-order elements."""
     oc = t.group.order_classes
-    return PrimeOrderSet(indices=frozenset(np.flatnonzero(oc.one_or_prime[oc.class_of]).tolist()))
-
-
-def degree(t: ThetaGraph, i: int) -> int:
-    if not 0 <= i < t.n_vertices:
-        raise IndexError(f"vertex index out of range: {i}")
-    return int(t.degrees[i])
-
-
-def min_degree(t: ThetaGraph) -> int:
-    return int(t.degrees.min())
+    return frozenset(np.flatnonzero(oc.one_or_prime[oc.class_of]).tolist())
 
 
 def _edge_rows(adj: np.ndarray, heads: list[str], tails: list[str], sep: str) -> Iterator[str]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -244,20 +244,13 @@ def from_orders(labels: list[str], orders: list[int]) -> GroupSpec:
     An order list alone cannot prove group-ness, so Lagrange violations
     (an order not dividing the element count) produce a warning on the
     returned spec rather than an error. Structural problems -- no identity,
-    several identities, mismatched lengths -- are rejected.
+    several identities, mismatched lengths -- are rejected by GroupSpec.
     """
-    if len(labels) != len(orders):
-        raise ValueError("labels and orders must have equal length")
-    if not labels:
-        raise ValueError("empty group input")
-    _check_size(f"custom(order={len(orders)})", len(orders))
-    identities = [i for i, o in enumerate(orders) if o == 1]
-    if len(identities) != 1:
-        raise ValueError(f"expected exactly one order-1 element, found {len(identities)}")
     n = len(orders)
+    _check_size(f"custom(order={n})", n)
     warnings = tuple(
-        ("lagrange_violation", f"order {o} of element {labels[i]!r} does not divide group size {n}")
-        for i, o in enumerate(orders)
+        ("lagrange_violation", f"order {o} of element {label!r} does not divide group size {n}")
+        for label, o in zip(labels, orders)
         if o >= 1 and n % o != 0
     )
     return GroupSpec(
@@ -265,7 +258,7 @@ def from_orders(labels: list[str], orders: list[int]) -> GroupSpec:
         {"n": n},
         tuple(labels),
         tuple(orders),
-        identity_index=identities[0],
+        identity_index=orders.index(1) if 1 in orders else 0,
         warnings=warnings,
     )
 
@@ -289,6 +282,8 @@ def group_keys(max_order: int, families) -> list[tuple[int, str, str, Callable, 
         if f not in FAMILIES:
             raise ValueError(f"unknown family {f!r}; choose from {', '.join(FAMILIES)}")
     found = []
+    # (Z_p)^m with m >= 2 and the Heisenberg group of order p^3 need p <= sqrt(max_order)
+    primes = [p for p in range(2, isqrt(max(max_order, 0)) + 1) if is_prime(p)]
     if "cyclic" in families:
         found += [(n, "cyclic", f"n={n}", cyclic, (n,)) for n in range(3, max_order + 1)]
     if "dihedral" in families:
@@ -298,14 +293,14 @@ def group_keys(max_order: int, families) -> list[tuple[int, str, str, Callable, 
         found += [(4 * n, "dicyclic", f"n={n}", dicyclic, (n,))
                   for n in range(2, max_order // 4 + 1)]
     if "elementary_abelian" in families:
-        for p in (2, 3, 5, 7, 11, 13):
+        for p in primes:
             m = 2
             while p**m <= max_order:
                 found.append((p**m, "elementary_abelian", f"p={p},m={m}", elementary_abelian, (p, m)))
                 m += 1
     if "heisenberg" in families:
         found += [(p**3, "heisenberg", f"p={p}", heisenberg, (p,))
-                  for p in (2, 3, 5) if p**3 <= max_order]
+                  for p in primes if p**3 <= max_order]
     if "product" in families:
         found += [(a * b, "product", f"cyclic({a})xcyclic({b})", _cyclic_product, (a, b))
                   for a in range(2, max_order // 2 + 1) for b in range(a, max_order // a + 1)]

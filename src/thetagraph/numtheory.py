@@ -9,11 +9,9 @@ division, used only on group sizes and spectral formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 
 __all__ = [
-    "Factorization",
     "euler_phi",
     "factorize",
     "gcd",
@@ -66,25 +64,9 @@ def is_one_or_prime(n: int) -> bool:
     return n == 1 or is_prime(n)
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization as ((prime, exponent), ...) with primes ascending."""
-
-    factors: tuple[tuple[int, int], ...]
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def __len__(self) -> int:
-        return len(self.factors)
-
-    @property
-    def value(self) -> int:
-        return prod(p**e for p, e in self.factors)
-
-
-def factorize(n: int) -> Factorization:
-    """Canonical prime factorization of n >= 2 by trial division."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Canonical prime factorization of n >= 2 by trial division, as
+    ((prime, exponent), ...) with primes ascending."""
     if n < 2:
         raise ValueError(f"factorize requires n >= 2, got {n}")
     factors = []
@@ -100,7 +82,7 @@ def factorize(n: int) -> Factorization:
         p += 1
     if m > 1:
         factors.append((m, 1))
-    return Factorization(tuple(factors))
+    return tuple(factors)
 
 
 def euler_phi(n: int) -> int:

@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .graph import ThetaGraph, min_degree, prime_order_set
+from .graph import ThetaGraph, prime_order_set
 
 __all__ = [
     "ConnectivityResult",
@@ -298,7 +298,7 @@ def planarity_decision(t: ThetaGraph) -> tuple[bool, str]:
     independent set is planar. |S| = 1 only in the trivial group.
     """
     graph_side, method = _planar_graph_side(t)
-    group_side = t.n_vertices <= 4 or prime_order_set(t).size == 2
+    group_side = t.n_vertices <= 4 or len(prime_order_set(t)) == 2
     if graph_side != group_side:
         raise _cross_check_failed(
             t,
@@ -384,7 +384,7 @@ def _toughness_refutation(t: ThetaGraph) -> tuple[frozenset[int], int] | None:
     candidates = [
         frozenset(np.flatnonzero(oc.class_of != c).tolist()) for c in np.flatnonzero(~oc.one_or_prime)
     ]
-    candidates.append(prime_order_set(t).indices)
+    candidates.append(prime_order_set(t))
     for cut in candidates:
         if not cut or len(cut) >= n:
             continue
@@ -578,7 +578,7 @@ def vertex_connectivity(t: ThetaGraph) -> ConnectivityResult:
             cut = [x for x in range(len(classes)) if 2 * x in reached and 2 * x + 1 not in reached]
             best_cut = frozenset(np.concatenate([classes[x] for x in cut]).tolist())
     assert best is not None and best_cut is not None
-    if best > min_degree(t):
+    if best > int(t.degrees.min()):
         raise CrossCheckError("kappa exceeds the minimum degree")
     if len(best_cut) != best or components_after_removal(t, best_cut) < 2:
         raise CrossCheckError("minimum cut witness failed re-validation")
@@ -595,7 +595,7 @@ def open_problem_classify(t: ThetaGraph) -> str:
     if is_complete(t):
         return "complete"
     kappa = vertex_connectivity(t).kappa
-    s_size = prime_order_set(t).size
+    s_size = len(prime_order_set(t))
     if kappa < s_size:
         raise CrossCheckError(
             f"kappa={kappa} < |S|={s_size} on {t.group.describe()}; "

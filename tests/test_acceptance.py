@@ -140,10 +140,10 @@ def test_criterion_05_vertex_connectivity_formulas():
             continue
         t = build_theta(cyclic(n))
         kappa = vertex_connectivity(t).kappa
-        s = prime_order_set(t).size
+        s = len(prime_order_set(t))
         if kappa != s:
             failures.append(f"composite n={n}: kappa {kappa} != |S| {s}")
-        shape = factorize(n).factors
+        shape = factorize(n)
         if len(shape) == 2 and all(e == 1 for _, e in shape):
             p, q = shape[0][0], shape[1][0]
             if kappa != p + q - 1:
@@ -161,7 +161,7 @@ def test_criterion_06_dicyclic_counterexample():
     failures: list[str] = []
     t = build_theta(dicyclic(3))
     kappa = vertex_connectivity(t).kappa
-    s = prime_order_set(t).size
+    s = len(prime_order_set(t))
     if kappa != 6:
         failures.append(f"kappa {kappa} != 6")
     if s != 4:
@@ -293,7 +293,7 @@ def test_criterion_12_equitable_machinery():
         check(t, [v1, v2], [[2 * n - phi - 2, phi], [n - phi, n - phi]], f"cyclic({n})")
     for n in CYCLIC_PM:
         t = build_theta(cyclic(n))
-        p = factorize(n).factors[0][0]
+        p = factorize(n)[0][0]
         v1 = [k for k in range(n) if k == 0 or t.group.orders[k] == p]
         v2 = [k for k in range(n) if k not in set(v1)]
         check(t, [v1, v2], [[n + p - 2, n - p], [p, p]], f"cyclic({n}) p^m")
@@ -311,7 +311,7 @@ def test_criterion_12_equitable_machinery():
         check(t, [v1, v2, v3], expected, f"dihedral({n})")
     for n in DIHEDRAL_PM:
         t = build_theta(dihedral(n))
-        p = factorize(n).factors[0][0]
+        p = factorize(n)[0][0]
         v1 = [k for k in range(n) if k == 0 or t.group.orders[k] == p]
         v2 = [k for k in range(n) if k not in set(v1)]
         v3 = list(range(n, 2 * n))

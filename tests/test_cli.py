@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import thetagraph.cli
-from thetagraph import build_theta, cyclic, export_dot, export_json, validate_cycle
+from thetagraph import FAMILIES, build_theta, cyclic, export_dot, export_json, validate_cycle
 from thetagraph.cli import SEARCH_CSV_HEADER, _emit, main, parse_selector
 from thetagraph.properties import CrossCheckError, components_after_removal
 
@@ -437,6 +437,15 @@ def test_verify_connectivity_suite(capsys):
 # ---------------------------------------------------------------------------
 # search
 # ---------------------------------------------------------------------------
+
+
+def test_search_help_names_every_family(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--help"])
+    assert exc.value.code == 0
+    # argparse wraps the help text, even inside a word
+    help_text = "".join(capsys.readouterr().out.split())
+    assert "comma-separatedsubsetof" + ",".join(FAMILIES) + "(defaultall)" in help_text
 
 
 def test_search_cyclic_to_20(capsys):

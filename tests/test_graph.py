@@ -9,12 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import thetagraph.graph
 from thetagraph.graph import (
-    adjacent,
     build_theta,
-    degree,
     export_dot,
     export_json,
-    min_degree,
     prime_order_set,
 )
 from thetagraph.groups import (
@@ -29,6 +26,7 @@ from thetagraph.groups import (
     heisenberg,
 )
 from thetagraph.numtheory import is_one_or_prime, is_prime
+from thetagraph.verify import corrupting_builder
 
 
 def test_theta_z6_is_k6_minus_generator_edge():
@@ -54,46 +52,44 @@ def test_theta_d4_reflections_adjacent_to_all_rotations():
 
 def test_adjacent_examples():
     t = build_theta(cyclic(12))
-    assert adjacent(t, 2, 3)  # orders 6 and 4, gcd 2
-    assert not adjacent(t, 1, 5)  # orders 12 and 12, gcd 12
-    assert not adjacent(t, 4, 4)
-    with pytest.raises(IndexError):
-        adjacent(t, 0, 12)
+    assert t.adj[2, 3]  # orders 6 and 4, gcd 2
+    assert not t.adj[1, 5]  # orders 12 and 12, gcd 12
+    assert not t.adj[4, 4]
 
 
 def test_prime_order_set_z12():
     t = build_theta(cyclic(12))
-    assert set(prime_order_set(t).indices) == {0, 4, 6, 8}
+    assert prime_order_set(t) == {0, 4, 6, 8}
 
 
 @pytest.mark.parametrize("p, q", [(2, 3), (3, 5), (5, 7)])
 def test_prime_order_set_size_pq(p, q):
     t = build_theta(cyclic(p * q))
-    assert prime_order_set(t).size == p + q - 1
+    assert len(prime_order_set(t)) == p + q - 1
 
 
 @pytest.mark.parametrize("p, m", [(2, 3), (3, 2), (5, 2)])
 def test_prime_order_set_size_prime_power(p, m):
     t = build_theta(cyclic(p**m))
-    assert prime_order_set(t).size == p
+    assert len(prime_order_set(t)) == p
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_generator_degree_in_z_2q(q):
     t = build_theta(cyclic(2 * q))
     gen = [k for k in range(2 * q) if math.gcd(k, 2 * q) == 1]
-    assert all(degree(t, v) == q + 1 for v in gen)
+    assert all(t.degrees[v] == q + 1 for v in gen)
 
 
 def test_z8_degree_structure():
     t = build_theta(cyclic(8))
-    assert degree(t, 0) == 7
+    assert t.degrees[0] == 7
     assert sorted(t.degrees.tolist()).count(7) == 2
 
 
 def test_z9_min_degree():
     t = build_theta(cyclic(9))
-    assert min_degree(t) == 3
+    assert t.degrees.min() == 3
     gen = [k for k in range(9) if math.gcd(k, 9) == 1]
     for v in gen:
         assert set(t.neighbors(v).tolist()) == {0, 3, 6}
@@ -240,6 +236,31 @@ def test_small_group_warning():
     assert not any(code == "small_group" for code, _ in build_theta(cyclic(3)).warnings)
 
 
+def _derived_graph_groups():
+    yield from (g for *_, g in enumerate_groups(64, FAMILIES))
+    yield cyclic(1)
+    yield cyclic(2)
+    # user groups carry Lagrange warnings, which the graph passes on
+    yield from_orders(["e", "a"], [1, 3])
+    yield from_orders(["e", "a", "b", "c"], [1, 3, 2, 2])
+
+
+@pytest.mark.parametrize("build", [build_theta, corrupting_builder], ids=lambda b: b.__name__)
+def test_graph_derives_degrees_warnings_and_prime_order_set(build):
+    for g in _derived_graph_groups():
+        t = build(g)
+        name = g.describe()
+        assert np.array_equal(t.degrees, t.adj.sum(axis=1)), name
+        assert t.degrees.dtype == np.int64, name
+        assert not t.adj.flags.writeable and not t.degrees.flags.writeable, name
+        small = [w for w in t.warnings if w[0] == "small_group"]
+        assert bool(small) == (g.size <= 2), name
+        assert [w for w in t.warnings if w[0] != "small_group"] == list(g.warnings), name
+        s = prime_order_set(t)
+        assert type(s) is frozenset, name
+        assert s == {i for i, o in enumerate(g.orders) if is_one_or_prime(o)}, name
+
+
 def test_primality_is_decided_per_distinct_gcd(monkeypatch):
     # three elements but a gcd of 10**6: testing every integer up to the
     # largest gcd would take a million primality calls
@@ -286,8 +307,8 @@ def test_structural_invariants(t):
 def test_composite_cyclic_min_degree_is_s_size_attained_at_generators(n):
     assert not is_prime(n)
     t = build_theta(cyclic(n))
-    s = prime_order_set(t).size
-    assert min_degree(t) == s
+    s = len(prime_order_set(t))
+    assert t.degrees.min() == s
     for v in range(n):
         if math.gcd(v, n) == 1:
-            assert degree(t, v) == s
+            assert t.degrees[v] == s

@@ -15,9 +15,11 @@ from thetagraph.groups import (
     elementary_abelian,
     enumerate_groups,
     from_orders,
+    group_keys,
     heisenberg,
     order_profile,
 )
+from thetagraph.numtheory import is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -230,15 +232,20 @@ def test_from_orders_lagrange_warning():
 
 
 def test_from_orders_rejects_double_identity():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exactly one identity element, found 2"):
         from_orders(["e", "e2"], [1, 1])
+    with pytest.raises(ValueError, match="exactly one identity element, found 0"):
+        from_orders(["a", "b"], [2, 2])
 
 
 def test_from_orders_rejects_empty_and_mismatched():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one element"):
         from_orders([], [])
-    with pytest.raises(ValueError):
+    # a length mismatch either way reaches the spec's own check, not an IndexError
+    with pytest.raises(ValueError, match="equal length"):
         from_orders(["e"], [1, 2])
+    with pytest.raises(ValueError, match="equal length"):
+        from_orders(["e", "a", "b"], [1, 2])
 
 
 def test_from_orders_caps_orders_at_int64():
@@ -349,6 +356,23 @@ def test_enumerate_groups_only_requested_families():
         (27, "elementary_abelian", "p=3,m=3"),
         (27, "heisenberg", "p=3"),
     ]
+
+
+def test_group_keys_at_max_elements_list_every_prime_power_family_member():
+    primes = [p for p in range(2, MAX_ELEMENTS + 1) if is_prime(p)]
+    expected_ea = sorted(
+        f"p={p},m={m}" for p in primes for m in range(2, MAX_ELEMENTS.bit_length())
+        if p**m <= MAX_ELEMENTS
+    )
+    expected_heisenberg = sorted(f"p={p}" for p in primes if p**3 <= MAX_ELEMENTS)
+    keys = group_keys(MAX_ELEMENTS, ["elementary_abelian", "heisenberg"])
+    assert sorted(params for _, family, params, *_ in keys if family == "elementary_abelian") \
+        == expected_ea
+    assert sorted(params for _, family, params, *_ in keys if family == "heisenberg") \
+        == expected_heisenberg
+    assert "p=61,m=2" in expected_ea and "p=13" in expected_heisenberg
+    for order, family, params, build, args in keys:
+        assert build(*args).size == order
 
 
 def test_enumerate_groups_rejects_unknown_family_before_iterating():

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -44,3 +45,10 @@ def test_unused_import_is_caught():
 
 def test_names_in_all_count_as_used():
     assert _unused_imports('from math import gcd\n__all__ = ["gcd"]\n') == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_defines_every_name_in_its_all(path):
+    module = importlib.import_module(f"thetagraph.{path.stem}")
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []

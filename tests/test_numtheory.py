@@ -1,11 +1,10 @@
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from thetagraph.numtheory import (
-    Factorization,
     euler_phi,
     factorize,
     gcd,
@@ -81,7 +80,7 @@ def test_euler_phi_equals_brute_count_up_to_10000():
     [(12, ((2, 2), (3, 1))), (7, ((7, 1),)), (360, ((2, 3), (3, 2), (5, 1)))],
 )
 def test_factorize_examples(n, expected):
-    assert factorize(n).factors == expected
+    assert factorize(n) == expected
 
 
 def test_factorize_rejects_small_input():
@@ -94,15 +93,11 @@ def test_factorize_rejects_small_input():
 def test_factorize_reconstructs_up_to_10000():
     for n in range(2, 10_001):
         f = factorize(n)
-        assert f.value == n
+        assert prod(p**e for p, e in f) == n
         primes = [p for p, _ in f]
         assert primes == sorted(primes)
         assert all(is_prime(p) for p in primes)
         assert all(e >= 1 for _, e in f)
-
-
-def test_factorization_value_roundtrip():
-    assert Factorization(((2, 3), (3, 2), (5, 1))).value == 360
 
 
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=10**6))

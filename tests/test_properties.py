@@ -12,7 +12,7 @@ import thetagraph.graph
 import thetagraph.properties
 from thetagraph import groups
 from thetagraph.analysis import analyze_group
-from thetagraph.graph import ThetaGraph, build_theta, min_degree, prime_order_set
+from thetagraph.graph import ThetaGraph, build_theta, prime_order_set
 from thetagraph.groups import (
     cyclic,
     dicyclic,
@@ -140,7 +140,7 @@ def _theta_from_nx(h):
     n = h.number_of_nodes()
     adj = nx.to_numpy_array(h, nodelist=range(n), dtype=bool)
     g = from_orders([f"v{k}" for k in range(n)], [1] + [2] * (n - 1))
-    return ThetaGraph(g, adj, adj.sum(axis=1).astype(np.int64))
+    return ThetaGraph(g, adj)
 
 
 @pytest.mark.parametrize(
@@ -263,7 +263,7 @@ def test_group_side_criteria_test_primality_once_per_distinct_order(monkeypatch,
     g = from_orders([f"g{k}" for k in range(len(orders))], orders)
     built = build_theta(g)
     # a fresh spec, so that its order classes are derived while counting
-    t = ThetaGraph(dataclasses.replace(g), built.adj, built.degrees, built.warnings)
+    t = ThetaGraph(dataclasses.replace(g), built.adj)
     calls = _count_primality_calls(monkeypatch)
     is_complete(t)
     prime_order_set(t)
@@ -532,7 +532,7 @@ def test_vertex_connectivity_witness_revalidates():
     assert conn.method == "max_flow"
     assert len(conn.witness_cut) == conn.kappa
     assert components_after_removal(t, conn.witness_cut) >= 2
-    assert conn.kappa <= min_degree(t)
+    assert conn.kappa <= t.degrees.min()
 
 
 def test_vertex_connectivity_complete_rule():
@@ -568,7 +568,7 @@ def test_twin_classes_partition_into_twins():
     t = build_theta(dihedral(60))
     classes = [frozenset(c.tolist()) for c in _twin_classes(t)]
     assert len(classes) == 9
-    assert frozenset(prime_order_set(t).indices) in classes  # S(G): one clique class
+    assert prime_order_set(t) in classes  # S(G): one clique class
     for t in (t, corrupting_builder(dihedral(60)), build_theta(cyclic(30))):
         classes = _twin_classes(t)
         assert sorted(np.concatenate(classes).tolist()) == list(range(t.n_vertices))

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thetagraph.graph import build_theta, min_degree
+from thetagraph.graph import build_theta
 from thetagraph.groups import FAMILIES, enumerate_groups, from_orders, order_profile
 from thetagraph.numtheory import is_one_or_prime
 from thetagraph.properties import (
@@ -75,7 +75,7 @@ def test_vertex_connectivity_matches_networkx_on_any_order_list(orders):
     t = _graph_from_orders(orders)
     conn = vertex_connectivity(t)
     assert conn.kappa == nx.node_connectivity(_nx_graph(t))
-    assert conn.kappa <= min_degree(t)
+    assert conn.kappa <= t.degrees.min()
     if conn.witness_cut is not None:
         assert len(conn.witness_cut) == conn.kappa
         assert components_after_removal(t, conn.witness_cut) >= 2

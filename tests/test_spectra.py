@@ -263,7 +263,7 @@ def test_closed_form_domain_is_the_complete_split_graphs(family):
     for n in range(2, 301):
         t = build_theta(ctor(n))
         in_s = np.zeros(t.n_vertices, dtype=bool)
-        in_s[sorted(prime_order_set(t).indices)] = True
+        in_s[sorted(prime_order_set(t))] = True
         split = bool(
             (t.degrees[in_s] == t.n_vertices - 1).all() and not t.adj[np.ix_(~in_s, ~in_s)].any()
         )
