@@ -224,15 +224,25 @@ def _cmd_spectrum(args) -> int:
 def _cmd_export(args) -> int:
     t = build_theta(_group_from_args(args))
     pieces = (dot_pieces if args.format == "dot" else json_pieces)(t)
-    if log.isEnabledFor(logging.DEBUG):  # the pieces are held, to time and count them
-        started = time.perf_counter()
-        pieces = list(pieces)
-        seconds = time.perf_counter() - started
-        log.debug(
-            "export %s: %d vertices, %d edges, %d bytes, %.4f s serialising",
-            args.format, t.n_vertices, t.edge_count, sum(len(p.encode("utf-8")) for p in pieces), seconds,
-        )
-    _emit(pieces, args.out)
+    seconds, size = 0.0, 0
+
+    def counted():
+        """The pieces, each timed while it is made and counted as it goes to the writer."""
+        nonlocal seconds, size
+        while True:
+            started = time.perf_counter()
+            piece = next(pieces, None)
+            seconds += time.perf_counter() - started
+            if piece is None:
+                return
+            size += len(piece) if piece.isascii() else len(piece.encode("utf-8"))  # isascii is O(1)
+            yield piece
+
+    _emit(counted(), args.out)
+    log.debug(
+        "export %s: %d vertices, %d edges, %d bytes, %.4f s serialising",
+        args.format, t.n_vertices, t.edge_count, size, seconds,
+    )
     return EXIT_OK
 
 

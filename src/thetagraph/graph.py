@@ -30,16 +30,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThetaGraph:
     """The graph of ``group``. Construction makes the given ``adj`` read-only
-    in place, without copying it, and derives read-only ``degrees`` from it."""
+    in place, without copying it, and derives read-only ``degrees`` from it.
+    Equality and hashing go by identity, as the per-graph ``facts`` do."""
 
     group: GroupSpec
     adj: np.ndarray  # (n, n) bool, symmetric, zero diagonal
     degrees: np.ndarray = field(init=False)  # (n,) int64
     # facts computed from the graph, by name, once each (see properties._once_per_graph)
-    facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    facts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         degrees = self.adj.sum(axis=1).astype(np.int64)

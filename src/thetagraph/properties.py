@@ -51,13 +51,19 @@ class CrossCheckError(RuntimeError):
     """
 
 
-def _cross_check_failed(t: ThetaGraph, detail: str) -> CrossCheckError:
+def _agree(
+    t: ThetaGraph, what: str, graph_side: bool, group_side: bool, vertex: int | None = None
+) -> bool:
+    """The graph side of a criterion, once the group side agrees with it.
+    A criterion of one vertex names the vertex instead of the two sides."""
+    if graph_side == group_side:
+        return graph_side
+    detail = f"{what} criteria disagree on {t.group.describe()}" + (
+        f": graph={graph_side} group={group_side}" if vertex is None else f" at vertex {vertex}"
+    )
     if t.group.family == "custom":
-        detail += (
-            "; the supplied order list is likely not the order profile of any"
-            " finite group"
-        )
-    return CrossCheckError(detail)
+        detail += "; the supplied order list is likely not the order profile of any finite group"
+    raise CrossCheckError(detail)
 
 
 def _once_per_graph(fn):
@@ -181,13 +187,7 @@ def is_eulerian(t: ThetaGraph) -> bool:
     odd and every order class of order 1 or a prime."""
     graph_side = is_connected(t) and bool((t.degrees % 2 == 0).all())
     group_side = t.group.size % 2 == 1 and bool(t.group.order_classes.one_or_prime.all())
-    if graph_side != group_side:
-        raise _cross_check_failed(
-            t,
-            f"eulerian criteria disagree on {t.group.describe()}: "
-            f"graph={graph_side} group={group_side}",
-        )
-    return graph_side
+    return _agree(t, "eulerian", graph_side, group_side)
 
 
 def _complete_graph_side(t: ThetaGraph) -> bool:
@@ -200,13 +200,7 @@ def is_complete(t: ThetaGraph) -> bool:
     """Complete iff the group has no element of composite order."""
     graph_side = _complete_graph_side(t)
     group_side = bool(t.group.order_classes.one_or_prime.all())
-    if graph_side != group_side:
-        raise _cross_check_failed(
-            t,
-            f"completeness criteria disagree on {t.group.describe()}: "
-            f"graph={graph_side} group={group_side}",
-        )
-    return graph_side
+    return _agree(t, "completeness", graph_side, group_side)
 
 
 def is_singleton_dominating(t: ThetaGraph, v: int) -> bool:
@@ -216,18 +210,13 @@ def is_singleton_dominating(t: ThetaGraph, v: int) -> bool:
     oc = t.group.order_classes
     group_side = bool(oc.one_or_prime[oc.class_of[v]])
     graph_side = int(t.degrees[v]) == t.n_vertices - 1
-    if graph_side != group_side:
-        raise _cross_check_failed(
-            t, f"domination criteria disagree on {t.group.describe()} at vertex {v}"
-        )
-    return graph_side
+    return _agree(t, "domination", graph_side, group_side, vertex=v)
 
 
 def domination_number(t: ThetaGraph) -> tuple[int, frozenset[int]]:
     """Always 1, witnessed by the identity (a universal vertex)."""
     e = t.group.identity_index
-    if not is_singleton_dominating(t, e):
-        raise CrossCheckError("identity vertex fails to dominate")
+    is_singleton_dominating(t, e)  # the identity's group side is True, so this is True or raises
     return 1, frozenset({e})
 
 
@@ -299,13 +288,7 @@ def planarity_decision(t: ThetaGraph) -> tuple[bool, str]:
     """
     graph_side, method = _planar_graph_side(t)
     group_side = t.n_vertices <= 4 or len(prime_order_set(t)) == 2
-    if graph_side != group_side:
-        raise _cross_check_failed(
-            t,
-            f"planarity criteria disagree on {t.group.describe()}: "
-            f"graph={graph_side} group={group_side}",
-        )
-    return graph_side, method
+    return _agree(t, "planarity", graph_side, group_side), method
 
 
 def is_planar(t: ThetaGraph) -> bool:
@@ -326,45 +309,41 @@ class HamiltonianVerdict:
     witness_cut: frozenset[int] | None = None
 
 
+def _gaps(t: ThetaGraph, cycle: np.ndarray) -> np.ndarray:
+    """The places k where the hop from cycle[k] to the next vertex, cyclically, is not an edge."""
+    return np.flatnonzero(~t.adj[cycle, np.roll(cycle, -1)])
+
+
 def validate_cycle(t: ThetaGraph, cycle) -> bool:
     """A Hamiltonian cycle visits every vertex once with all hops adjacent."""
     n = t.n_vertices
-    if cycle is None or len(cycle) != n or len(set(cycle)) != n or n < 3:
+    if cycle is None or n < 3 or sorted(cycle) != list(range(n)):
         return False
-    return all(t.adj[cycle[k], cycle[(k + 1) % n]] for k in range(n))
+    return not _gaps(t, np.asarray(cycle, dtype=np.int64)).size
 
 
-def _ore_cycle(t: ThetaGraph, missing: tuple[np.ndarray, np.ndarray]) -> tuple[int, ...]:
-    """Constructive cycle under Ore's condition.
+def _ore_cycle(t: ThetaGraph) -> tuple[int, ...]:
+    """Constructive cycle under Ore's condition, by Palmer's rotation
+    (Comput. Math. Appl. 34, 1997).
 
-    Start from the trivial cycle of the complete closure and strip the
-    missing edges (ascending pairs i < j, in row-major order) one by one;
-    whenever the cycle uses a missing edge (u, v), the degree-sum bound
-    guarantees a crossing pair that lets the cycle be rewired without it.
+    Read the vertices as a cycle and remove its gaps, the hops that are not
+    edges, one step at a time: roll the cycle into a path x_0..x_{n-1} whose
+    ends are the first gap's ends, take the first j with x_0 ~ x_{j+1} and
+    x_{n-1} ~ x_j, and reverse x_{j+1}..x_{n-1}. The two new hops are edges
+    and the gap x_{n-1}x_0 is gone, so there are at most n steps. Such a j
+    exists since x_0 has deg(x_0) neighbours x_{j+1} and x_{n-1} has
+    deg(x_{n-1}) neighbours x_j, with j in 0..n-2 each, and the degree-sum
+    bound makes these n or more choices of j among n - 1 values.
     """
     n = t.n_vertices
     cycle = np.arange(n)
-    pos = np.arange(n)  # pos[x]: the place of vertex x on the cycle
-    linked = np.ones((n, n), dtype=bool)  # the closure: adj plus the edges not yet stripped
-    for u, v in zip(*(a.tolist() for a in missing)):
-        linked[u, v] = linked[v, u] = False
-        ku, kv = int(pos[u]), int(pos[v])
-        if (kv - ku) % n == 1:
-            pass  # cycle runs u -> v
-        elif (ku - kv) % n == 1:
-            u, v = v, u
-            kv = ku
-        else:
-            continue  # cycle does not use this edge
-        # path x_0..x_{n-1} from u to v around the other side of the cycle
-        path = np.roll(cycle, -kv)[::-1]
-        # first j in 1..n-2 with x_0 ~ x_{j+1} and x_{n-1} ~ x_j
-        crossing = np.flatnonzero(linked[u, path[2:]] & linked[v, path[1:-1]])
+    while (gaps := _gaps(t, cycle)).size:
+        path = np.roll(cycle, -int(gaps[0]) - 1)
+        crossing = np.flatnonzero(t.adj[path[0], path[2:]] & t.adj[path[-1], path[1:-1]])
         if not crossing.size:
             raise CrossCheckError("Ore rewiring failed; degree-sum bound violated")
         j = int(crossing[0]) + 1
         cycle = np.concatenate([path[: j + 1], path[j + 1 :][::-1]])
-        pos[cycle] = np.arange(n)
     cycle = tuple(cycle.tolist())
     if not validate_cycle(t, cycle):
         raise CrossCheckError("Ore construction produced an invalid cycle")
@@ -441,9 +420,8 @@ def is_hamiltonian(t: ThetaGraph, node_budget: int = DEFAULT_NODE_BUDGET) -> Ham
     n = t.n_vertices
     if n < 3 or not is_connected(t):
         return HamiltonianVerdict("no", None, "exact_search", 0)
-    missing = np.nonzero(np.triu(~t.adj, k=1))
-    if bool((t.degrees[missing[0]] + t.degrees[missing[1]] >= n).all()):
-        return HamiltonianVerdict("yes", _ore_cycle(t, missing), "ore_sufficient", 0)
+    if not (np.triu(~t.adj, k=1) & (t.degrees < n - t.degrees[:, None])).any():
+        return HamiltonianVerdict("yes", _ore_cycle(t), "ore_sufficient", 0)
     refutation = _toughness_refutation(t)
     if refutation is not None:
         cut, _ = refutation

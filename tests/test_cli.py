@@ -241,6 +241,21 @@ def test_export_at_max_elements_streams_without_holding_the_text(fmt, out):
     assert int(peak_kib) < 256 * 1024
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is counted in KiB on Linux")
+def test_debug_export_streams_like_the_plain_one():
+    # the debug line counts the pieces as they are written, so none is held for it
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_SCRIPT, "export", "--format", "json", "--elem-abelian", "2", "12"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        env=dict(_child_env(), THETA_LOG="debug"), check=True,
+    )
+    log_line, result = proc.stderr.splitlines()
+    assert log_line.startswith("DEBUG thetagraph: export json: 4096 vertices, 8386560 edges, ")
+    code, peak_kib = result.split()
+    assert code == "0"
+    assert int(peak_kib) < 150 * 1024
+
+
 @pytest.mark.parametrize(
     "argv, head",
     [

@@ -261,6 +261,12 @@ def test_graph_derives_degrees_warnings_and_prime_order_set(build):
         assert s == {i for i, o in enumerate(g.orders) if is_one_or_prime(o)}, name
 
 
+def test_graphs_compare_and_hash_by_identity():
+    t, u = build_theta(cyclic(6)), build_theta(cyclic(6))
+    assert t == t and t != u
+    assert {t: 1, u: 2}[t] == 1 and hash(t) != hash(u)
+
+
 def test_primality_is_decided_per_distinct_gcd(monkeypatch):
     # three elements but a gcd of 10**6: testing every integer up to the
     # largest gcd would take a million primality calls

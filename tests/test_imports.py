@@ -1,4 +1,4 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports and each private function it defines."""
 
 import ast
 import importlib
@@ -52,3 +52,31 @@ def test_module_defines_every_name_in_its_all(path):
     module = importlib.import_module(f"thetagraph.{path.stem}")
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+def _unreferenced_private_functions(source: str) -> list[str]:
+    """Module-level functions named ``_name`` (not dunders) that no other line of the module names."""
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(
+        f"{node.name} (line {node.lineno})"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in used
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_references_every_private_function_it_defines(path):
+    assert _unreferenced_private_functions(path.read_text(encoding="utf-8")) == []
+
+
+def test_unreferenced_private_function_is_caught():
+    source = (
+        "def _cross_check_failed(t, detail):\n    return detail\n"
+        "def _agree(t):\n    return t\n"
+        "def public(t):\n    return _agree(t)\n"
+        "def __getattr__(name):\n    raise AttributeError(name)\n"
+    )
+    assert _unreferenced_private_functions(source) == ["_cross_check_failed (line 1)"]

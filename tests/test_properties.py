@@ -460,13 +460,14 @@ def test_search_deeper_than_the_recursion_limit():
     assert validate_cycle(t, cycle)
 
 
-# sha256 of ",".join(cycle) for the Ore certificate cycles, recorded before
-# the non-edge enumeration was vectorised
+# sha256 of ",".join(cycle) for the Ore certificate cycles, recorded when
+# Palmer's rotation replaced the closure stripping; a cycle without gaps,
+# such as heisenberg(7)'s or cyclic(1201)'s, is 0..n-1 under both
 ORE_CYCLE_SHA256 = [
-    (dihedral(60), "e8edef8902fd861761049e2291400fddaba90bb35dd93c076b516de8d3482139"),
-    (dicyclic(15), "99624485c1132fb79b563a710a204f132c0f0dff2e491e3ee767df82025330b4"),
+    (dihedral(60), "3ed33f352c62bcd356ee2ebdedb4f6dd88dd5ac1e19614bcd01f8c92af71b44d"),
+    (dicyclic(15), "eb3a7b135e13ea11cfbd073f75889e33d04d748177da79c911269644c801fad1"),
     (heisenberg(7), "d562ab56dea33208322979ff6fdf05f92066c55111c0778e93f493ee9a3629eb"),
-    (dihedral(35), "a53fba24f59ec1290518a017bd49b6d553be1d266a3688cf469fe645c91315ae"),
+    (dihedral(35), "70a40dd9a6c2d0b6069f475705744603776daefbdcf7d2f2430d840d84dc5beb"),
     (cyclic(1201), "09cd9ee2580f25fed834a7f9c3e8acfe999dd5bf26d3273333a5a25c75d763c8"),
 ]
 
@@ -476,6 +477,31 @@ def test_ore_cycles_are_pinned(g, digest):
     verdict = is_hamiltonian(build_theta(g))
     assert verdict.method == "ore_sufficient"
     assert hashlib.sha256(",".join(map(str, verdict.cycle)).encode()).hexdigest() == digest
+
+
+def _ore_holds(t):
+    """Every non-adjacent pair i < j has a degree sum of at least n."""
+    ii, jj = np.nonzero(np.triu(~t.adj, k=1))
+    return t.n_vertices >= 3 and bool((t.degrees[ii] + t.degrees[jj] >= t.n_vertices).all())
+
+
+def test_ore_cycles_are_valid_on_every_small_graph_and_at_scale():
+    graphs = [t for t in _small_graphs(200) if _ore_holds(t)]
+    graphs.append(build_theta(dihedral(2000)))  # n = 4000, about 2000 gaps to remove
+    assert len(graphs) > 100 and _ore_holds(graphs[-1])
+    for t in graphs:
+        verdict = is_hamiltonian(t)
+        assert verdict.method == "ore_sufficient", t.group.describe()
+        assert validate_cycle(t, verdict.cycle), t.group.describe()
+
+
+@pytest.mark.parametrize(
+    "n, cycle",
+    [(3, (-1, 0, 1)), (5, (0, 1, 2, 3, -1)), (3, (0, 1, 3)), (5, (0, 1, 2, 3, 4, 0)), (5, (0, 1, 2, 3))],
+)
+def test_validate_cycle_rejects_what_is_not_each_vertex_once(n, cycle):
+    # numpy would read -1 as the last vertex; K_n has every hop
+    assert validate_cycle(build_theta(cyclic(n)), cycle) is False
 
 
 def test_hamiltonian_brute_force_agreement_small():
