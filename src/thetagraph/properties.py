@@ -315,11 +315,15 @@ def _gaps(t: ThetaGraph, cycle: np.ndarray) -> np.ndarray:
 
 
 def validate_cycle(t: ThetaGraph, cycle) -> bool:
-    """A Hamiltonian cycle visits every vertex once with all hops adjacent."""
+    """A Hamiltonian cycle visits every vertex once with all hops adjacent.
+    Its vertices are ints, Python or numpy: a bool or an integral float
+    compares equal to one but is not a vertex."""
     n = t.n_vertices
-    if cycle is None or n < 3 or sorted(cycle) != list(range(n)):
+    if cycle is None or n < 3:
         return False
-    return not _gaps(t, np.asarray(cycle, dtype=np.int64)).size
+    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in cycle):
+        return False
+    return sorted(cycle) == list(range(n)) and not _gaps(t, np.asarray(cycle, dtype=np.int64)).size
 
 
 def _ore_cycle(t: ThetaGraph) -> tuple[int, ...]:
@@ -433,7 +437,7 @@ def is_hamiltonian(t: ThetaGraph, node_budget: int = DEFAULT_NODE_BUDGET) -> Ham
 
 
 # ---------------------------------------------------------------------------
-# vertex connectivity (Menger via class-weighted max-flow on twin classes)
+# vertex connectivity (|U| + kappa(G - U), the latter by class-weighted max-flow)
 # ---------------------------------------------------------------------------
 
 
@@ -474,63 +478,58 @@ def _min_cut(arcs: list[dict[int, int]], s: int, sink: int) -> tuple[int, set[in
         flow += bottleneck
 
 
-def _twin_classes(t: ThetaGraph) -> list[np.ndarray]:
-    """Partition the vertices into twin classes, read off the adjacency.
+def _false_twin_classes(t: ThetaGraph, keep: np.ndarray) -> list[np.ndarray]:
+    """The kept vertices grouped by equal rows of adj, each class an ascending
+    index array, the classes in the byte order of their packed rows.
 
-    Equal rows of adj are false twins (equal open neighbourhoods, pairwise
-    non-adjacent); equal rows of adj | I are true twins (equal closed
-    neighbourhoods, a clique). No vertex has twins of both kinds, so its
-    class is its false-twin class when that has two or more members and its
-    true-twin class otherwise. Each class is an ascending index array.
-    """
-    n = t.n_vertices
-
-    def equal_rows(m: np.ndarray) -> np.ndarray:
-        """Rank of each packed row among the distinct rows, in byte order."""
-        keys = [row.tobytes() for row in np.packbits(m, axis=1)]
-        rank = {key: k for k, key in enumerate(sorted(set(keys)))}
-        return np.array([rank[key] for key in keys])
-
-    open_id = equal_rows(t.adj)
-    closed_id = equal_rows(t.adj | np.eye(n, dtype=bool))
-    label = np.where(np.bincount(open_id)[open_id] > 1, open_id, n + closed_id)
-    _, class_of = np.unique(label, return_inverse=True)
-    order = np.argsort(class_of, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(class_of[order])) + 1)
+    Vertices with equal rows are false twins: equal open neighbourhoods and
+    pairwise non-adjacent, since an edge between two equal rows would put a
+    one on the diagonal."""
+    kept = np.flatnonzero(keep)
+    classes: dict[bytes, list[int]] = {}
+    for v, row in zip(kept.tolist(), np.packbits(t.adj[kept], axis=1)):
+        classes.setdefault(row.tobytes(), []).append(v)
+    return [np.array(classes[key]) for key in sorted(classes)]
 
 
 @_once_per_graph
 def vertex_connectivity(t: ThetaGraph) -> ConnectivityResult:
-    """kappa on the twin-class quotient.
+    """kappa(G) = |U| + kappa(H), with U the universal vertices and H = G - U.
 
-    A minimum separator S never splits a twin class: each vertex of S is
-    adjacent to every component of G - S, but a vertex whose twin lies
-    outside S reaches only that twin's component. So kappa is the smaller of
+    A universal vertex left behind keeps the rest connected, so on a
+    non-complete graph a set separates G iff it holds U and the rest of it
+    separates H. When H is disconnected (also when G is, as U is then empty)
+    U alone is a minimum cut and no flow runs. Otherwise kappa(H) is taken
+    on H's false-twin classes, which a minimum separator never splits: each
+    of its vertices is adjacent to every component left, but a vertex whose
+    twin lies outside it reaches only that twin's component. So kappa(G) is
+    the smaller of
 
     - the degree of a false-twin class C of size >= 2, whose neighbourhood
-      N(C) cuts the members of C apart; and
-    - a class-weighted max-flow over the standard reduced pair set
-      (Esfahanian-Hakimi), taken on the classes: a minimum-degree class
-      against each class not adjacent to it, plus each non-adjacent pair
-      of its neighbour classes.
+      N(C), U included, cuts the members of C apart; and
+    - |U| plus a class-weighted max-flow over the standard reduced pair set
+      (Esfahanian-Hakimi), taken on H's classes: a minimum-degree class
+      against each class not adjacent to it, plus each non-adjacent pair of
+      its neighbour classes.
 
-    The cut is expanded back to vertex indices and re-validated on the full
-    graph. With all classes singletons this is the plain vertex-split
-    max-flow. Completeness is detected from the edge count and the classes
-    from the adjacency, so this stays a pure graph computation even on order
-    lists that are not groups."""
+    True twins stay singletons, which costs time but not exactness, and in
+    Θ(G) of a group H has none: x of composite order m has another element
+    x' of order m, not adjacent to x, yet adjacent to each neighbour of x.
+    The cut is re-validated on the full graph. U, completeness and the
+    classes are read off the graph, so this stays a pure graph computation
+    even on order lists that are not groups."""
     n = t.n_vertices
     if _complete_graph_side(t):
         return ConnectivityResult(n - 1, None, "complete_rule")
-    if not is_connected(t):
-        return ConnectivityResult(0, frozenset(), "max_flow")
-    classes = _twin_classes(t)
+    universal = np.flatnonzero(t.degrees == n - 1)
+    if components_after_removal(t, universal) >= 2:
+        return ConnectivityResult(len(universal), frozenset(universal.tolist()), "max_flow")
+    classes = _false_twin_classes(t, t.degrees < n - 1)
     reps = [int(c[0]) for c in classes]
     q_adj = t.adj[np.ix_(reps, reps)]
-    best: int | None = None
-    best_cut: frozenset[int] | None = None
+    best, best_cut = n, frozenset()  # every candidate below is smaller than n
     for c, rep in zip(classes, reps):
-        if len(c) > 1 and not t.adj[c[0], c[1]] and (best is None or t.degrees[rep] < best):
+        if len(c) > 1 and t.degrees[rep] < best:
             best, best_cut = int(t.degrees[rep]), frozenset(t.neighbors(rep).tolist())
     s = int(np.argmin(t.degrees[reps]))
     # the vertex-split digraph of the classes: x_in = 2x, x_out = 2x+1. The split
@@ -549,13 +548,12 @@ def vertex_connectivity(t: ThetaGraph) -> ConnectivityResult:
     pairs = [(s, c) for c in range(len(classes)) if c != s and not q_adj[s, c]]
     ns = np.flatnonzero(q_adj[s]).tolist()
     pairs.extend((a, b) for a, b in combinations(ns, 2) if not q_adj[a, b])
-    for a, b in pairs:  # weighted kappa(a, b) of each non-adjacent pair
+    for a, b in pairs:  # weighted kappa_H(a, b) of each non-adjacent pair
         value, reached = _min_cut(arcs, 2 * a + 1, 2 * b)
-        if best is None or value < best:
-            best = value
-            cut = [x for x in range(len(classes)) if 2 * x in reached and 2 * x + 1 not in reached]
-            best_cut = frozenset(np.concatenate([classes[x] for x in cut]).tolist())
-    assert best is not None and best_cut is not None
+        if len(universal) + value < best:
+            best = len(universal) + value
+            removed = [c for x, c in enumerate(classes) if 2 * x in reached and 2 * x + 1 not in reached]
+            best_cut = frozenset(np.concatenate([universal, *removed]).tolist())
     if best > int(t.degrees.min()):
         raise CrossCheckError("kappa exceeds the minimum degree")
     if len(best_cut) != best or components_after_removal(t, best_cut) < 2:

@@ -25,11 +25,11 @@ from thetagraph.groups import (
 from thetagraph.properties import (
     CrossCheckError,
     _bfs_distances,
+    _false_twin_classes,
     _hamiltonian_search,
     _min_cut,
     _planar_graph_side,
     _toughness_refutation,
-    _twin_classes,
     components_after_removal,
     diameter,
     domination_number,
@@ -504,6 +504,18 @@ def test_validate_cycle_rejects_what_is_not_each_vertex_once(n, cycle):
     assert validate_cycle(build_theta(cyclic(n)), cycle) is False
 
 
+@pytest.mark.parametrize("cycle", [(0, True, 2.0), (0, 1, 2.0), (False, 1, 2), (0.0, 1.0, 2.0)])
+def test_validate_cycle_rejects_bools_and_floats(cycle):
+    # each compares equal to a vertex index, so a sorted comparison alone accepts it
+    assert validate_cycle(build_theta(cyclic(3)), cycle) is False
+
+
+def test_validate_cycle_accepts_python_and_numpy_ints():
+    t = build_theta(cyclic(3))
+    assert validate_cycle(t, (0, 1, 2)) and validate_cycle(t, (np.int32(0), np.int64(1), 2))
+    assert validate_cycle(t, np.arange(3))
+
+
 def test_hamiltonian_brute_force_agreement_small():
     # the pipeline verdict must agree with a plain exhaustive search
     for g in (cyclic(4), cyclic(6), cyclic(8), cyclic(9), dihedral(4), dicyclic(2)):
@@ -590,37 +602,74 @@ def test_vertex_connectivity_matches_networkx_on_all_small_groups():
             assert components_after_removal(t, conn.witness_cut) >= 2
 
 
+def _kappa_oracle_graphs(count, seed):
+    """K_u joined to random graphs H, u in 0..3: some H disconnected, some
+    with a true twin and a false twin added, the vertices shuffled."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        h = nx.gnp_random_graph(int(rng.integers(2, 12)), float(rng.uniform(0.3, 0.95)), seed=k)
+        if k % 5 == 0:
+            h = nx.disjoint_union(h, nx.path_graph(int(rng.integers(1, 4))))
+        if k % 2 == 0:
+            v, m = int(rng.integers(h.number_of_nodes())), h.number_of_nodes()
+            nbrs = list(h[v])
+            h.add_edges_from((w, m) for w in [v, *nbrs])  # m: a true twin of v
+            h.add_node(m + 1)
+            h.add_edges_from((w, m + 1) for w in nbrs)  # m + 1: a false twin of v
+        u = k % 4
+        g = nx.disjoint_union(nx.complete_graph(u), h)
+        g.add_edges_from((a, b) for a in range(u) for b in g if b != a)
+        perm = rng.permutation(g.number_of_nodes()).tolist()
+        shuffled = nx.Graph()
+        shuffled.add_nodes_from(range(g.number_of_nodes()))
+        shuffled.add_edges_from((perm[a], perm[b]) for a, b in g.edges())
+        yield shuffled
+
+
+def test_vertex_connectivity_of_universal_vertices_joined_to_random_graphs():
+    seen = {"disconnected_h": 0, "flow": 0, "complete": 0}
+    for g in _kappa_oracle_graphs(1000, seed=16):
+        t = _theta_from_nx(g)
+        conn = vertex_connectivity(t)
+        assert conn.kappa == nx.node_connectivity(g)
+        if conn.witness_cut is None:
+            seen["complete"] += 1
+            continue
+        universal = set(np.flatnonzero(t.degrees == t.n_vertices - 1).tolist())
+        seen["disconnected_h" if conn.witness_cut == universal else "flow"] += 1
+        assert universal <= conn.witness_cut and len(conn.witness_cut) == conn.kappa
+        assert components_after_removal(t, conn.witness_cut) >= 2
+    assert min(seen.values()) > 20, seen
+
+
 def test_twin_classes_partition_into_twins():
     t = build_theta(dihedral(60))
-    classes = [frozenset(c.tolist()) for c in _twin_classes(t)]
-    assert len(classes) == 9
-    assert prime_order_set(t) in classes  # S(G): one clique class
+    s = prime_order_set(t)
+    classes = [frozenset(c.tolist()) for c in _false_twin_classes(t, t.degrees < t.n_vertices - 1)]
+    assert len(classes) == 8  # the composite orders 4, 6, 10, 12, 15, 20, 30 and 60
+    assert set().union(*classes) == set(range(t.n_vertices)) - s
     for t in (t, corrupting_builder(dihedral(60)), build_theta(cyclic(30))):
-        classes = _twin_classes(t)
-        assert sorted(np.concatenate(classes).tolist()) == list(range(t.n_vertices))
-        closed = t.adj | np.eye(t.n_vertices, dtype=bool)
+        keep = t.degrees < t.n_vertices - 1
+        classes = _false_twin_classes(t, keep)
+        assert sorted(np.concatenate(classes).tolist()) == np.flatnonzero(keep).tolist()
         for c in classes:
-            rows = t.adj[c] if not t.adj[c[0], c[-1]] else closed[c]
-            assert (rows == rows[0]).all()
+            assert (t.adj[c] == t.adj[c[0]]).all() and not t.adj[np.ix_(c, c)].any()
 
 
 def test_twin_classes_match_a_row_sort_on_all_groups_to_order_200():
-    def reference(t):  # the earlier partition, from np.unique row sorts
-        def equal_rows(m):
-            _, inverse = np.unique(np.packbits(m, axis=1), axis=0, return_inverse=True)
-            return inverse.ravel()
-
-        n = t.n_vertices
-        open_id = equal_rows(t.adj)
-        closed_id = equal_rows(t.adj | np.eye(n, dtype=bool))
-        label = np.where(np.bincount(open_id)[open_id] > 1, open_id, n + closed_id)
-        _, class_of = np.unique(label, return_inverse=True)
+    def reference(t, keep):  # H's rows grouped by a np.unique row sort
+        kept = np.flatnonzero(keep)
+        _, inverse = np.unique(np.packbits(t.adj[kept], axis=1), axis=0, return_inverse=True)
+        class_of = inverse.ravel()
         order = np.argsort(class_of, kind="stable")
-        return np.split(order, np.flatnonzero(np.diff(class_of[order])) + 1)
+        return np.split(kept[order], np.flatnonzero(np.diff(class_of[order])) + 1)
 
     for _, _, _, g in groups.enumerate_groups(200, groups.FAMILIES):
         for t in (build_theta(g), corrupting_builder(g)):
-            got, want = _twin_classes(t), reference(t)
+            keep = t.degrees < t.n_vertices - 1
+            if not keep.any():
+                continue
+            got, want = _false_twin_classes(t, keep), reference(t, keep)
             assert [c.tolist() for c in got] == [c.tolist() for c in want], t.group.describe()
 
 
@@ -659,6 +708,24 @@ def test_open_problem_classify(g, expected):
     assert open_problem_classify(build_theta(g)) == expected
 
 
+def test_kappa_exceeds_S_exactly_when_the_composite_order_graph_is_connected():
+    # kappa = |S| + kappa(H) with H = Θ(G) - S(G), the graph on the composite-order elements
+    counts = {"exceeds": 0, "sized": 0}
+    for _, _, _, g in groups.enumerate_groups(200, groups.FAMILIES):
+        t = build_theta(g)
+        s = prime_order_set(t)
+        h = _nx_graph(t).subgraph(set(range(t.n_vertices)) - s)
+        label = open_problem_classify(t)
+        incomplete = h.number_of_nodes() > 0
+        assert (label == "complete") == (not incomplete), g.describe()
+        assert (label == "kappa_exceeds_S") == (incomplete and nx.is_connected(h)), g.describe()
+        counts["exceeds"] += label == "kappa_exceeds_S"
+        if incomplete and h.number_of_nodes() <= 40:
+            assert vertex_connectivity(t).kappa == len(s) + nx.node_connectivity(h), g.describe()
+            counts["sized"] += 1
+    assert counts["exceeds"] > 0 and counts["sized"] > 50, counts
+
+
 def test_cross_check_error_on_corrupted_graph():
     from thetagraph.verify import corrupting_builder
 
@@ -674,19 +741,23 @@ def test_cross_check_error_on_corrupted_graph():
 
 
 def test_analyze_computes_twin_classes_and_connectivity_once(monkeypatch):
-    twin_calls, connectivity_bfs = [], []
-    twin, bfs = thetagraph.properties._twin_classes, thetagraph.properties._bfs_distances
+    # H = Θ(G) - S(G) is disconnected for dihedral(60), so no partition is built
+    twin, bfs = thetagraph.properties._false_twin_classes, thetagraph.properties._bfs_distances
 
     def counting_bfs(t, src, keep=None):
         if keep is None:  # whole-graph BFS; the component counts pass a mask
             connectivity_bfs.append(src)
         return bfs(t, src, keep)
 
-    monkeypatch.setattr(thetagraph.properties, "_twin_classes", lambda t: twin_calls.append(t) or twin(t))
+    monkeypatch.setattr(
+        thetagraph.properties, "_false_twin_classes", lambda t, keep: twin_calls.append(t) or twin(t, keep)
+    )
     monkeypatch.setattr(thetagraph.properties, "_bfs_distances", counting_bfs)
-    analyze_group(dihedral(60), timestamp=False)
-    assert len(twin_calls) == 1
-    assert connectivity_bfs == [0]
+    for g, partitions in ((dihedral(60), 0), (dicyclic(15), 1)):
+        twin_calls, connectivity_bfs = [], []
+        analyze_group(g, timestamp=False)
+        assert len(twin_calls) == partitions, g.describe()
+        assert connectivity_bfs == [0], g.describe()
 
 
 def test_analyze_checks_each_certificate_once(monkeypatch):
