@@ -40,14 +40,12 @@ from .properties import (
     vertex_connectivity,
 )
 from .spectra import (
-    EquitablePartition,
     SpectrumResult,
     Surd,
     UnsupportedFamilyError,
     build_Q,
     closed_form_spectrum,
     eig_sym,
-    is_equitable,
     quotient_matrix,
     quotient_spectrum,
     spectra_equal,

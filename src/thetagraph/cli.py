@@ -206,6 +206,8 @@ def _emit(pieces, out_path: str | None) -> None:
 
 
 def _cmd_analyze(args) -> int:
+    if args.budget < 0:
+        raise SystemExit2("--budget must be at least 0")
     g = _group_from_args(args)
     report = analyze_group(
         g, hamiltonian_budget=args.budget, timestamp=not args.no_timestamp

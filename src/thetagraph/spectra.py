@@ -23,14 +23,12 @@ from .graph import ThetaGraph
 from .numtheory import factorize, squarefree_split
 
 __all__ = [
-    "EquitablePartition",
     "SpectrumResult",
     "Surd",
     "UnsupportedFamilyError",
     "build_Q",
     "closed_form_spectrum",
     "eig_sym",
-    "is_equitable",
     "quotient_matrix",
     "quotient_spectrum",
     "spectra_equal",
@@ -229,85 +227,45 @@ def closed_form_spectrum(family: str, n: int) -> SpectrumResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquitablePartition:
-    blocks: tuple[tuple[int, ...], ...]
-    counts: np.ndarray  # b[i][j]: neighbors a vertex of block i has in block j
-    quotient: np.ndarray  # q[i][j] = b[i][j] (i != j); q[i][i] = b[i][i] + row sum
+def quotient_matrix(t: ThetaGraph, blocks) -> np.ndarray:
+    """The k x k int64 signless Laplacian quotient of an equitable partition.
 
-
-def _check_partition(t: ThetaGraph, blocks) -> list[list[int]]:
-    blocks = [sorted(int(v) for v in blk) for blk in blocks]
-    flat = [v for blk in blocks for v in blk]
-    if sorted(flat) != list(range(t.n_vertices)):
+    Entry (i, j) counts the neighbours a vertex of block i has in block j,
+    and the diagonal adds the vertex degree, matching the quotient of D + A.
+    Raises ValueError when the blocks do not partition the vertex set (an
+    empty block included), or when the partition is not equitable: the
+    message then names the first vertex, in index order, whose counts differ
+    from those of the first vertex of its block, and that first vertex.
+    """
+    blocks = [np.asarray(blk, dtype=np.int64) for blk in blocks]
+    sizes = [blk.size for blk in blocks]
+    flat = np.concatenate([np.empty(0, dtype=np.int64), *blocks])
+    if 0 in sizes or not np.array_equal(np.sort(flat), np.arange(t.n_vertices)):
         raise ValueError("blocks do not partition the vertex set")
-    if any(not blk for blk in blocks):
-        raise ValueError("empty block in partition")
-    return blocks
-
-
-def _block_counts(t: ThetaGraph, blocks) -> tuple[np.ndarray, tuple[int, int] | None]:
-    """Neighbour counts into each block, from one n x k count matrix.
-
-    Returns the k x k counts read off each block's first vertex, and the
-    first pair of same-block vertices whose counts differ (block by block,
-    then target block by target block, then vertex by vertex), or None when
-    the partition is equitable."""
-    indicator = np.zeros((t.n_vertices, len(blocks)), dtype=np.int64)
-    for j, blk in enumerate(blocks):
-        indicator[blk, j] = 1
-    per_vertex = t.adj.astype(np.int64) @ indicator
-    counts = per_vertex[[blk[0] for blk in blocks]]
-    for blk in blocks:
-        rows = per_vertex[blk]
-        _, v = np.nonzero((rows[1:] != rows[0]).T)
-        if v.size:
-            return counts, (blk[0], blk[int(v[0]) + 1])
-    return counts, None
-
-
-def is_equitable(t: ThetaGraph, blocks) -> tuple[bool, tuple[int, int] | None]:
-    """True when neighbor counts into every block are constant within each
-    block; otherwise a witness pair of same-block vertices that differ."""
-    _, witness = _block_counts(t, _check_partition(t, blocks))
-    return witness is None, witness
-
-
-def quotient_matrix(t: ThetaGraph, blocks) -> EquitablePartition:
-    """The signless Laplacian quotient of an equitable partition.
-
-    Off-diagonal entries are the neighbor counts b_ij; the diagonal adds the
-    vertex degree on top of b_ii, matching the quotient of D + A.
-    """
-    blocks = _check_partition(t, blocks)
-    counts, witness = _block_counts(t, blocks)
-    if witness is not None:
+    block_of = np.empty(t.n_vertices, dtype=np.int64)
+    block_of[flat] = np.repeat(np.arange(len(blocks)), sizes)
+    per_vertex = t.adj.astype(np.int64) @ np.eye(len(blocks), dtype=np.int64)[block_of]
+    first = np.array([blk.min() for blk in blocks])
+    lead = first[block_of]
+    differ = np.flatnonzero((per_vertex != per_vertex[lead]).any(axis=1))
+    if differ.size:
+        v = int(differ[0])
         raise ValueError(
-            f"partition is not equitable: vertices {witness[0]} and {witness[1]} "
-            "in one block have different neighbor counts"
+            f"partition is not equitable: vertex {v} has other neighbor counts "
+            f"than vertex {lead[v]}, the first of its block"
         )
-    return EquitablePartition(
-        blocks=tuple(tuple(blk) for blk in blocks),
-        counts=counts,
-        quotient=counts + np.diag(counts.sum(axis=1)),
-    )
+    return per_vertex[first] + np.diag(t.degrees[first])
 
 
-def quotient_spectrum(ep: EquitablePartition) -> SpectrumResult:
-    """Eigenvalues of the quotient matrix.
+def quotient_spectrum(t: ThetaGraph, blocks) -> SpectrumResult:
+    """Eigenvalues of ``quotient_matrix(t, blocks)``.
 
-    The quotient is similar to a symmetric matrix under scaling by the
-    square roots of the block sizes (s_i * b_ij = s_j * b_ji for equitable
-    partitions), so the symmetric eigensolver ``eig_sym`` applies.
+    With block sizes s_i, an equitable partition has s_i * q_ij = s_j * q_ji,
+    so scaling by the square roots of the sizes makes the quotient the
+    symmetric matrix sqrt(q_ij * q_ji), and ``eig_sym`` applies.
     """
-    sizes = np.array([len(blk) for blk in ep.blocks])
-    b = ep.counts
-    edges = sizes[:, None] * b
-    if not np.array_equal(edges, edges.T):
-        raise ValueError("neighbor counts violate the edge-count identity")
-    m = np.sqrt(b * b.T)
-    np.fill_diagonal(m, ep.quotient.diagonal())
-    return eig_sym(m)
+    q = quotient_matrix(t, blocks)
+    return eig_sym(np.sqrt(q * q.T))
 
 
 # ---------------------------------------------------------------------------

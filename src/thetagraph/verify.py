@@ -178,18 +178,19 @@ def check_equitable_quotients(r: CheckResult, t: ThetaGraph, build: Builder) -> 
     family, n = t.group.family, t.group.params["n"]
     blocks, expected = _theorem_quotient(t, family, n)
     try:
-        ep = spectra.quotient_matrix(t, blocks)
+        q = spectra.quotient_matrix(t, blocks)
     except ValueError:  # the partition is not equitable
-        ep = None
-    r.expect(ep is not None, f"{family}({n}): theorem partition is not equitable")
-    if ep is None:
+        q = None
+    r.expect(q is not None, f"{family}({n}): theorem partition is not equitable")
+    if q is None:
         return r
     r.expect(
-        ep.quotient.tolist() == expected,
+        q.tolist() == expected,
         f"{family}({n}): quotient matrix differs from the closed form",
     )
     contained = spectra.spectrum_contains(
-        spectra.quotient_spectrum(ep), spectra.eig_sym(spectra.build_Q(t)), SPECTRUM_MATCH_TOL
+        spectra.quotient_spectrum(t, blocks), spectra.eig_sym(spectra.build_Q(t)),
+        SPECTRUM_MATCH_TOL,
     )
     r.expect(contained, f"{family}({n}): quotient spectrum not inside full spectrum")
     return r

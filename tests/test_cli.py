@@ -1,7 +1,9 @@
+import argparse
 import csv
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import time
@@ -86,6 +88,20 @@ def test_analyze_requires_exactly_one_selector(capsys):
     assert code == 1 and "selector" in err
     code, _, err = run_cli(capsys, "analyze", "--cyclic", "3", "--dihedral", "4")
     assert code == 1
+
+
+def test_analyze_rejects_a_negative_budget_before_building_the_group(tmp_path, capsys, monkeypatch):
+    # the order list of Z_4 x|_3 Z_6: orders 1, 2 x5, 3 x2, 4 x2, 6 x10, 12 x4
+    orders = [1] + [2] * 5 + [3] * 2 + [4] * 2 + [6] * 10 + [12] * 4
+    path = tmp_path / "z4_z6.json"
+    path.write_text(json.dumps({"labels": list(range(len(orders))), "orders": orders}))
+    monkeypatch.setattr(thetagraph.cli, "_group_from_args", lambda args: pytest.fail("group built"))
+    code, out, err = run_cli(capsys, "analyze", "--custom", str(path), "--budget", "-5")
+    assert code == 1 and out == ""
+    assert "--budget must be at least 0" in err
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "analyze", "--custom", str(path), "--budget", "0", "--no-timestamp")
+    assert code == 0 and json.loads(out)["properties"]["hamiltonian"]["nodes_explored"] <= 1
 
 
 def test_analyze_hamiltonian_cycle_revalidates(capsys):
@@ -452,6 +468,35 @@ def test_verify_connectivity_suite(capsys):
 # ---------------------------------------------------------------------------
 # search
 # ---------------------------------------------------------------------------
+
+
+def _readme_block(first_token: str) -> list[str]:
+    """The lines of the README's fenced block whose first line starts with first_token."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = [b.strip().splitlines() for b in text.split("```")[1::2]]
+    (block,) = [b for b in blocks if b and b[0].startswith(first_token)]
+    return block
+
+
+def test_readme_cli_synopsis_matches_the_parser():
+    parser = thetagraph.cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+
+    def options(p, selector: bool):
+        return {
+            s for group in p._action_groups if (group.title == "group selector (exactly one)") == selector
+            for a in group._group_actions for s in a.option_strings if s.startswith("--") and s != "--help"
+        }
+
+    selector_flags = set(re.findall(r"--[a-z-]+", " ".join(_readme_block("--cyclic"))))
+    synopsis = {line.split()[1]: line for line in _readme_block("theta ")}
+    assert set(synopsis) == set(sub.choices)
+    for name, p in sub.choices.items():
+        line = synopsis[name]
+        assert set(re.findall(r"--[a-z-]+", line)) == options(p, selector=False), name
+        assert (selector_flags if "<selector>" in line else set()) == options(p, selector=True), name
+    (suite,) = [a for a in sub.choices["verify"]._actions if "--suite" in a.option_strings]
+    assert set(re.search(r"--suite ([a-z|]+)", synopsis["verify"]).group(1).split("|")) == set(suite.choices)
 
 
 def test_search_help_names_every_family(capsys):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thetagraph.graph import build_theta, prime_order_set
-from thetagraph.groups import FAMILIES, cyclic, dihedral, enumerate_groups, heisenberg
+from thetagraph.groups import FAMILIES, cyclic, dihedral, enumerate_groups, group_keys, heisenberg
+from thetagraph.numtheory import is_one_or_prime
 from thetagraph.spectra import (
     SpectrumResult,
     Surd,
@@ -14,12 +15,12 @@ from thetagraph.spectra import (
     build_Q,
     closed_form_spectrum,
     eig_sym,
-    is_equitable,
     quotient_matrix,
     quotient_spectrum,
     spectra_equal,
     spectrum_contains,
 )
+from thetagraph.verify import corrupting_builder
 
 TOL = 1e-7
 
@@ -277,15 +278,18 @@ def test_closed_form_domain_is_the_complete_split_graphs(family):
 
 def test_quotient_z6():
     t = build_theta(cyclic(6))
-    ep = quotient_matrix(t, [[0, 2, 3, 4], [1, 5]])
-    assert ep.quotient.tolist() == [[8, 2], [4, 4]]
-    assert ep.counts.tolist() == [[3, 2], [4, 0]]
+    blocks = [[0, 2, 3, 4], [1, 5]]
+    q = quotient_matrix(t, blocks)
+    assert q.dtype == np.int64
+    assert q.tolist() == [[8, 2], [4, 4]]
+    first = [blk[0] for blk in blocks]
+    assert (q - np.diag(t.degrees[first])).tolist() == [[3, 2], [4, 0]]
 
 
 def test_quotient_z9():
     t = build_theta(cyclic(9))
-    ep = quotient_matrix(t, [[0, 3, 6], [1, 2, 4, 5, 7, 8]])
-    assert ep.quotient.tolist() == [[10, 6], [3, 3]]
+    q = quotient_matrix(t, [[0, 3, 6], [1, 2, 4, 5, 7, 8]])
+    assert q.tolist() == [[10, 6], [3, 3]]
 
 
 def test_quotient_d9_three_blocks():
@@ -293,44 +297,78 @@ def test_quotient_d9_three_blocks():
     v1 = [0, 3, 6]
     v2 = [1, 2, 4, 5, 7, 8]
     v3 = list(range(9, 18))
-    ep = quotient_matrix(t, [v1, v2, v3])
-    assert ep.quotient.tolist() == [[19, 6, 9], [3, 12, 9], [3, 6, 25]]
+    q = quotient_matrix(t, [v1, v2, v3])
+    assert q.tolist() == [[19, 6, 9], [3, 12, 9], [3, 6, 25]]
 
 
-def test_is_equitable_true_cases():
+def test_quotient_of_singleton_blocks_is_Q():
     t = build_theta(cyclic(6))
-    ok, witness = is_equitable(t, [[0, 2, 3, 4], [1, 5]])
-    assert ok and witness is None
-    ok, witness = is_equitable(t, [[v] for v in range(6)])
-    assert ok and witness is None
+    q = quotient_matrix(t, [[v] for v in range(6)])
+    assert q.dtype == np.int64
+    assert np.array_equal(q, build_Q(t))
 
 
-def test_is_equitable_false_with_witness():
+def test_quotient_of_a_non_equitable_partition_names_the_two_vertices():
     t = build_theta(cyclic(6))
-    ok, witness = is_equitable(t, [[0, 1], [2, 3, 4, 5]])
-    assert not ok
-    assert witness == (0, 1)
-
-
-def test_is_equitable_rejects_non_partition():
-    t = build_theta(cyclic(6))
-    with pytest.raises(ValueError):
-        is_equitable(t, [[0, 1], [1, 2, 3, 4, 5]])
-    with pytest.raises(ValueError):
-        is_equitable(t, [[0, 1], [2, 3]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"not equitable: vertex 1 .* vertex 0\b"):
         quotient_matrix(t, [[0, 1], [2, 3, 4, 5]])
+    with pytest.raises(ValueError, match=r"not equitable: vertex 1 .* vertex 0\b"):
+        quotient_spectrum(t, [[0, 1], [2, 3, 4, 5]])
+
+
+@pytest.mark.parametrize("blocks", [
+    [[0, 1], [1, 2, 3, 4, 5]],
+    [[0, 1], [2, 3]],
+    [[0, 1, 2, 3, 4, 5], []],
+    [[0, 1, 2, 3, 4, 5, 6]],
+    [],
+], ids=["overlapping", "missing", "empty_block", "out_of_range", "no_blocks"])
+def test_quotient_rejects_blocks_that_do_not_partition(blocks):
+    t = build_theta(cyclic(6))
+    with pytest.raises(ValueError, match="do not partition"):
+        quotient_matrix(t, blocks)
 
 
 def test_quotient_spectrum_contained_in_full():
     t = build_theta(cyclic(6))
-    ep = quotient_matrix(t, [[0, 2, 3, 4], [1, 5]])
-    qspec = quotient_spectrum(ep)
+    qspec = quotient_spectrum(t, [[0, 2, 3, 4], [1, 5]])
     full = eig_sym(build_Q(t))
     assert spectrum_contains(qspec, full, TOL)
     values = [v for v, _ in qspec.numeric_items()]
     assert values[0] == pytest.approx(6 + 2 * math.sqrt(3), abs=1e-9)
     assert values[-1] == pytest.approx(6 - 2 * math.sqrt(3), abs=1e-9)
+
+
+def _order_class_blocks(g):
+    class_of = g.order_classes.class_of
+    return [np.flatnonzero(class_of == i) for i in range(len(g.order_classes.orders))]
+
+
+def test_order_classes_are_equitable_with_the_group_side_quotient():
+    """For every built-in group of order <= 200, the order classes C_i (order
+    o_i) are an equitable partition with q_ij = |C_j| [gcd(o_i, o_j) is 1 or
+    prime] - [i = j and o_i is 1 or prime], plus the row sum on the diagonal,
+    and the quotient spectrum lies inside the full one. One flipped bit
+    breaks it: under ``corrupting_builder`` every group of order >= 3 raises."""
+    keys = group_keys(200, FAMILIES)
+    assert len(keys) == 719
+    for order, family, params, build, args in keys:
+        g = build(*args)
+        blocks = _order_class_blocks(g)
+        orders = g.order_classes.orders.tolist()
+        counts = np.array([
+            [len(blocks[j]) * is_one_or_prime(math.gcd(oi, oj)) - (i == j and is_one_or_prime(oi))
+             for j, oj in enumerate(orders)]
+            for i, oi in enumerate(orders)
+        ])
+        t = build_theta(g)
+        q = quotient_matrix(t, blocks)
+        assert q.tolist() == (counts + np.diag(counts.sum(axis=1))).tolist(), (family, params)
+        assert spectrum_contains(quotient_spectrum(t, blocks), eig_sym(build_Q(t)), TOL), (
+            family, params)
+        if order >= 3:
+            with pytest.raises(ValueError, match="not equitable"):
+                quotient_matrix(corrupting_builder(g), blocks)
 
 
 # ---------------------------------------------------------------------------
