@@ -46,6 +46,7 @@ from .spectra import (
     build_Q,
     closed_form_spectrum,
     eig_sym,
+    order_class_spectrum,
     quotient_matrix,
     quotient_spectrum,
     spectra_equal,

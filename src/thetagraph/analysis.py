@@ -33,10 +33,9 @@ def _spectrum_entries(result: spectra.SpectrumResult) -> list[dict]:
 
 
 def spectrum_section(t: ThetaGraph) -> dict:
-    """Numeric spectrum always; the exact closed form and a match flag when
-    the family and order shape are covered by one."""
-    q = spectra.build_Q(t)
-    numeric = spectra.eig_sym(q)
+    """Numeric spectrum always, from the order classes; the exact closed
+    form and a match flag when the family and order shape are covered by one."""
+    numeric = spectra.order_class_spectrum(t)
     section: dict = {"numeric": _spectrum_entries(numeric)}
     try:
         closed = spectra.closed_form_spectrum(t.group.family, t.group.params.get("n"))

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .groups import GroupSpec
-from .numtheory import is_one_or_prime
 
 __all__ = [
     "ThetaGraph",
@@ -81,15 +80,13 @@ class ThetaGraph:
 def build_theta(g: GroupSpec) -> ThetaGraph:
     """Construct the graph from a group's order profile.
 
-    Adjacency is decided once per pair of distinct orders: a gcd table over
-    the k order classes of the group, primality of each distinct gcd, then
-    expansion to the n x n matrix by each element's order class.
+    Adjacency is decided once per pair of order classes
+    (``OrderClasses.adjacent``), then expanded to the n x n matrix by each
+    element's order class.
     """
     oc = g.order_classes
-    k = len(oc.orders)
-    gcds, gcd_of = np.unique(np.gcd.outer(oc.orders, oc.orders), return_inverse=True)
-    edge = np.array([is_one_or_prime(v) for v in gcds.tolist()])
-    adj = edge[gcd_of].reshape(k, k)[np.ix_(oc.class_of, oc.class_of)]
+    # rows, then columns: several times faster than one np.ix_ gather of n x n
+    adj = oc.adjacent[oc.class_of][:, oc.class_of]
     np.fill_diagonal(adj, False)
     return ThetaGraph(g, adj)
 

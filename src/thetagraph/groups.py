@@ -38,8 +38,8 @@ __all__ = [
 FAMILIES = ("cyclic", "dihedral", "dicyclic", "elementary_abelian", "heisenberg", "product")
 # the graph is built over int64 orders, and primality is exact far beyond this
 MAX_ORDER = 2**63 - 1
-# every command holds dense n x n matrices: at 2**12 elements the adjacency is
-# 16 MiB and each 64-bit matrix of the spectrum 128 MiB; the export of a complete
+# every command holds the dense n x n adjacency, 16 MiB at 2**12 elements; only
+# verify and the tests build the 64-bit Q (128 MiB there); the export of a complete
 # graph (8.4 million edges, 300 MB of text) is streamed with about a 65 MB peak
 MAX_ELEMENTS = 2**12
 
@@ -51,6 +51,19 @@ class OrderClasses:
     orders: np.ndarray  # (k,) int64: the distinct element orders, ascending
     class_of: np.ndarray  # (n,) the index in orders of each element's order
     one_or_prime: np.ndarray  # (k,) bool: the class order is 1 or a prime
+    sizes: np.ndarray  # (k,) int64: the number of elements in each class
+
+    @cached_property
+    def adjacent(self) -> np.ndarray:
+        """(k, k) bool, read-only: whether an element of class i and a
+        distinct element of class j are joined, that is whether the gcd of
+        the two orders is 1 or a prime. Primality is tested once per
+        distinct gcd, on first use."""
+        k = len(self.orders)
+        gcds, gcd_of = np.unique(np.gcd.outer(self.orders, self.orders), return_inverse=True)
+        edge = np.array([is_one_or_prime(v) for v in gcds.tolist()])[gcd_of].reshape(k, k)
+        edge.setflags(write=False)
+        return edge
 
 
 @dataclass(frozen=True)
@@ -97,9 +110,10 @@ class GroupSpec:
         order, never once per element."""
         orders, class_of = np.unique(np.asarray(self.orders, dtype=np.int64), return_inverse=True)
         one_or_prime = np.array([is_one_or_prime(o) for o in orders.tolist()], dtype=bool)
-        for a in (orders, class_of, one_or_prime):
+        sizes = np.bincount(class_of).astype(np.int64)
+        for a in (orders, class_of, one_or_prime, sizes):
             a.setflags(write=False)
-        return OrderClasses(orders, class_of, one_or_prime)
+        return OrderClasses(orders, class_of, one_or_prime, sizes)
 
     def describe(self) -> str:
         """Compact constructor-style descriptor, e.g. ``cyclic(6)``."""
@@ -120,7 +134,7 @@ def _check_size(name: str, size: int) -> None:
 def order_profile(g: GroupSpec) -> dict[int, int]:
     """Multiset of element orders as {order: count}, ascending by order."""
     oc = g.order_classes
-    return dict(zip(oc.orders.tolist(), np.bincount(oc.class_of).tolist()))
+    return dict(zip(oc.orders.tolist(), oc.sizes.tolist()))
 
 
 def cyclic(n: int) -> GroupSpec:

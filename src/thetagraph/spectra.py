@@ -1,6 +1,11 @@
 """Signless Laplacian spectra: Q = D + A, LAPACK's symmetric eigensolver
-(``eigvalsh`` via numpy), exact closed-form spectra for the cyclic and
-dihedral families, and equitable partition quotients.
+(``eigvalsh`` via numpy), the numeric spectrum of a group's graph from its
+order classes, exact closed-form spectra for the cyclic and dihedral
+families, and equitable partition quotients.
+
+Equal-order elements are twins, so ``order_class_spectrum`` reads Spec(Q)
+off the k x k order-class quotient and one twin eigenvalue per class; the
+dense n x n Q and ``eig_sym`` stay as its oracle in ``verify`` and the tests.
 
 The closed forms are one formula, the spectrum of a complete split graph
 (a clique of universal vertices joined to an independent set). The graphs
@@ -29,6 +34,7 @@ __all__ = [
     "build_Q",
     "closed_form_spectrum",
     "eig_sym",
+    "order_class_spectrum",
     "quotient_matrix",
     "quotient_spectrum",
     "spectra_equal",
@@ -36,7 +42,9 @@ __all__ = [
 ]
 
 SPECTRUM_MATCH_TOL = 1e-7  # absolute: how far two spectra may differ and still match
-MULTIPLICITY_GROUP_TOL = 1e-7  # relative to the matrix norm: equal eigenvalues in one result
+# relative to max(1, ||m||_inf), the largest absolute row sum (2 * max degree
+# for Q), which bounds the spectral norm: eigenvalues this close are one value
+MULTIPLICITY_GROUP_TOL = 1e-9
 
 
 class UnsupportedFamilyError(ValueError):
@@ -161,28 +169,74 @@ def build_Q(t: ThetaGraph) -> np.ndarray:
     return q
 
 
+def _numeric_spectrum(pairs, scale: float) -> SpectrumResult:
+    """Group (value, multiplicity) pairs into one numeric spectrum.
+
+    In descending order, a value joins the group of the value before it when
+    the two lie within ``MULTIPLICITY_GROUP_TOL * max(1, scale)``; a group
+    reports the multiplicity-weighted mean of its values and their total
+    multiplicity. ``scale`` bounds the spectral norm of the matrix.
+    """
+    group_tol = MULTIPLICITY_GROUP_TOL * max(1.0, scale)
+    groups: list[list[tuple[float, int]]] = []
+    for v, m in sorted(pairs, reverse=True):
+        if groups and abs(groups[-1][-1][0] - v) <= group_tol:
+            groups[-1].append((v, m))
+        else:
+            groups.append([(v, m)])
+    merged = []
+    for g in groups:
+        total = sum(m for _, m in g)
+        merged.append((math.fsum(v * m for v, m in g) / total, total))
+    return _make_spectrum(merged, "numeric")
+
+
 def eig_sym(m: np.ndarray) -> SpectrumResult:
     """Eigenvalues of a symmetric matrix by LAPACK's ``eigvalsh`` (via numpy).
 
     Close eigenvalues are grouped into multiplicities within
-    1e-7 * max(1, ||m||).
+    1e-9 * max(1, ||m||_inf); the largest absolute row sum bounds the
+    spectral norm, so the window stays near rounding error at any size.
+    This dense path is the oracle for ``order_class_spectrum``.
     """
     m = np.asarray(m, dtype=np.float64)  # no copy when m is float64 already
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("eig_sym requires a square matrix")
     if not np.array_equal(m, m.T):
         raise ValueError("eig_sym requires a symmetric matrix")
-    norm = float(np.linalg.norm(m))
+    scale = float(np.abs(m).sum(axis=1).max(initial=0.0))
     values = np.linalg.eigvalsh(m).tolist()
-    group_tol = MULTIPLICITY_GROUP_TOL * max(1.0, norm)
-    groups: list[list[float]] = []
-    for v in sorted(values, reverse=True):
-        if groups and abs(groups[-1][-1] - v) <= group_tol:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    pairs = [(math.fsum(g) / len(g), len(g)) for g in groups]
-    return _make_spectrum(pairs, "numeric")
+    return _numeric_spectrum([(v, 1) for v in values], scale)
+
+
+def order_class_spectrum(t: ThetaGraph) -> SpectrumResult:
+    """The numeric spectrum of Q read off the order classes of ``t.group``.
+
+    Equal-order elements are twins: for u, v in one class of degree d,
+    Q(e_u - e_v) = (d - [u ~ v])(e_u - e_v), and u ~ v exactly when the
+    class order is 1 or a prime. So Spec(Q) is the spectrum of the k x k
+    class quotient q_ij = |C_j| [gcd(o_i, o_j) is 1 or prime] - [i = j and
+    o_i is 1 or prime], plus its row sum d_i on the diagonal, and, for each
+    class, d_i - [o_i is 1 or prime] with multiplicity |C_i| - 1. The
+    quotient is symmetrised as in ``quotient_spectrum``, and values are
+    grouped by the rule of ``eig_sym`` with the same scale, 2 * max degree.
+
+    Raises ValueError unless ``t.adj`` is exactly the expansion of the class
+    adjacency, so a graph that is not its group's never gets this spectrum.
+    """
+    oc = t.group.order_classes
+    expected = oc.adjacent[oc.class_of][:, oc.class_of]  # as build_theta expands it
+    np.fill_diagonal(expected, False)
+    if not np.array_equal(t.adj, expected):
+        raise ValueError("the graph is not the expansion of its group's order classes")
+    counts = oc.adjacent * oc.sizes - np.diag(oc.one_or_prime).astype(np.int64)
+    degrees = counts.sum(axis=1)
+    q = counts + np.diag(degrees)
+    values = np.linalg.eigvalsh(np.sqrt(q * q.T)).tolist()
+    twins = [
+        (d, c - 1) for d, c in zip((degrees - oc.one_or_prime).tolist(), oc.sizes.tolist()) if c > 1
+    ]
+    return _numeric_spectrum([(v, 1) for v in values] + twins, 2 * float(degrees.max()))
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import thetagraph.cli
+import thetagraph.spectra
 from thetagraph import FAMILIES, build_theta, cyclic, export_dot, export_json, validate_cycle
 from thetagraph.cli import SEARCH_CSV_HEADER, _emit, main, parse_selector
 from thetagraph.properties import CrossCheckError, components_after_removal
@@ -142,6 +144,30 @@ def test_spectrum_cyclic_30_unsupported(capsys):
     assert section["closed_form"] is None
     assert section["match"] is None
     assert len(section["numeric"]) > 0
+
+
+@pytest.mark.parametrize(
+    "argv, k",
+    [
+        (("analyze", "--cyclic", "4096", "--no-timestamp"), 13),  # one class per divisor of 2^12
+        (("spectrum", "--elem-abelian", "2", "12"), 2),
+    ],
+    ids=["analyze-cyclic-4096", "spectrum-elem-abelian-2-12"],
+)
+def test_spectra_at_the_element_cap_never_build_the_dense_Q(capsys, monkeypatch, argv, k):
+    def refuse(t):
+        raise AssertionError("the dense Q was built")
+
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(thetagraph.spectra, "build_Q", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or eigvalsh(m))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    report = json.loads(out)
+    numeric = (report["spectrum"] if argv[0] == "analyze" else report)["numeric"]
+    assert sum(e["multiplicity"] for e in numeric) == 4096
+    assert shapes and all(rows <= k and cols <= k for rows, cols in shapes), shapes
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import thetagraph.graph
+import thetagraph.groups
 from thetagraph.graph import (
     build_theta,
     export_dot,
@@ -276,7 +276,7 @@ def test_primality_is_decided_per_distinct_gcd(monkeypatch):
         calls.append(v)
         return is_one_or_prime(v)
 
-    monkeypatch.setattr(thetagraph.graph, "is_one_or_prime", counting)
+    monkeypatch.setattr(thetagraph.groups, "is_one_or_prime", counting)
     t = build_theta(from_orders(["e", "a", "b"], [1, 10**6, 10**6]))
     assert len(calls) <= 2 * 2
     assert t.edges() == [(0, 1), (0, 2)]

@@ -140,9 +140,12 @@ def test_order_classes_match_brute_force_on_any_order_list(orders):
 def test_order_classes_are_derived_once_and_read_only():
     g = from_orders(["e", "a", "b", "c"], [1, 4, 2, 4])
     oc = g.order_classes
-    assert g.order_classes is oc
-    for a in (oc.orders, oc.class_of, oc.one_or_prime):
+    assert g.order_classes is oc and oc.adjacent is oc.adjacent
+    for a in (oc.orders, oc.class_of, oc.one_or_prime, oc.sizes, oc.adjacent):
         assert not a.flags.writeable
+    assert oc.sizes.tolist() == [1, 1, 2]
+    # orders 1, 2, 4: gcd 4 is the only one that is neither 1 nor a prime
+    assert oc.adjacent.tolist() == [[True, True, True], [True, True, True], [True, True, False]]
 
 
 # ---------------------------------------------------------------------------

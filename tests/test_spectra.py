@@ -5,8 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thetagraph.graph import build_theta, prime_order_set
-from thetagraph.groups import FAMILIES, cyclic, dihedral, enumerate_groups, group_keys, heisenberg
+from thetagraph.graph import ThetaGraph, build_theta, prime_order_set
+from thetagraph.groups import (
+    FAMILIES,
+    cyclic,
+    dicyclic,
+    dihedral,
+    enumerate_groups,
+    from_orders,
+    group_keys,
+    heisenberg,
+)
 from thetagraph.numtheory import is_one_or_prime
 from thetagraph.spectra import (
     SpectrumResult,
@@ -15,6 +24,7 @@ from thetagraph.spectra import (
     build_Q,
     closed_form_spectrum,
     eig_sym,
+    order_class_spectrum,
     quotient_matrix,
     quotient_spectrum,
     spectra_equal,
@@ -369,6 +379,76 @@ def test_order_classes_are_equitable_with_the_group_side_quotient():
         if order >= 3:
             with pytest.raises(ValueError, match="not equitable"):
                 quotient_matrix(corrupting_builder(g), blocks)
+
+
+# ---------------------------------------------------------------------------
+# the spectrum from the order classes, against the dense oracle
+# ---------------------------------------------------------------------------
+
+
+def _assert_matches_the_dense_oracle(t):
+    mine, dense = order_class_spectrum(t), eig_sym(build_Q(t))
+    label = t.group.describe()
+    assert mine.kind == dense.kind == "numeric", label
+    assert [m for _, m in mine.entries] == [m for _, m in dense.entries], label
+    assert [v for v, _ in mine.numeric_items()] == pytest.approx(
+        [v for v, _ in dense.numeric_items()], abs=TOL), label
+
+
+def test_order_class_spectrum_matches_the_dense_oracle_on_every_group_to_order_200():
+    """Identical multiplicities and values within TOL on all 719 groups of
+    order <= 200; one flipped bit is refused: under ``corrupting_builder``
+    every group of order >= 3 raises."""
+    keys = group_keys(200, FAMILIES)
+    assert len(keys) == 719
+    for order, _family, _params, build, args in keys:
+        g = build(*args)
+        _assert_matches_the_dense_oracle(build_theta(g))
+        if order >= 3:
+            with pytest.raises(ValueError, match="not the expansion"):
+                order_class_spectrum(corrupting_builder(g))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        cyclic(1),
+        cyclic(2),
+        dihedral(1),
+        dihedral(2),
+        heisenberg(2),
+        # orders 3 and 6 do not divide 4: a Lagrange violation
+        from_orders(["e", "a", "b", "c"], [1, 3, 3, 6]),
+        # a prime order near 2**61 next to a composite one
+        from_orders(["e", "a", "b", "c", "d"], [1, 2**61 - 1, 2**61 - 1, 2, 2 * (2**61 - 1)]),
+    ],
+    ids=lambda g: f"{g.describe()}:{list(g.orders)}",
+)
+def test_order_class_spectrum_matches_the_dense_oracle_on_small_and_custom_groups(g):
+    _assert_matches_the_dense_oracle(build_theta(g))
+
+
+def test_order_class_spectrum_refuses_a_graph_that_is_not_its_groups():
+    t = build_theta(cyclic(6))
+    adj = t.adj.copy()
+    adj[1, 5] = adj[5, 1] = True  # the two elements of order 6 are not adjacent in Θ(Z_6)
+    with pytest.raises(ValueError, match="not the expansion"):
+        order_class_spectrum(ThetaGraph(t.group, adj))
+    with pytest.raises(ValueError, match="not the expansion"):
+        order_class_spectrum(ThetaGraph(t.group, adj[:5, :5]))
+
+
+@pytest.mark.parametrize("g", [dihedral(580), dicyclic(540)], ids=lambda g: g.describe())
+def test_close_distinct_eigenvalues_keep_their_own_multiplicity(g):
+    # dihedral(580) has 870 and 870.0013219808811 once each; a window that
+    # grows with ||Q||_F, about sqrt(n) times the spectral norm (3.3e-3 at
+    # 1e-7 here), merges them into one value of multiplicity 2
+    t = build_theta(g)
+    q = build_Q(t)
+    expected = np.linalg.eigvalsh(q).tolist()[::-1]
+    for spec in (eig_sym(q), order_class_spectrum(t)):
+        values = [v for v, m in spec.numeric_items() for _ in range(m)]
+        assert values == pytest.approx(expected, abs=TOL)
 
 
 # ---------------------------------------------------------------------------
