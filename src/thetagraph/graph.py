@@ -78,17 +78,8 @@ class ThetaGraph:
 
 
 def build_theta(g: GroupSpec) -> ThetaGraph:
-    """Construct the graph from a group's order profile.
-
-    Adjacency is decided once per pair of order classes
-    (``OrderClasses.adjacent``), then expanded to the n x n matrix by each
-    element's order class.
-    """
-    oc = g.order_classes
-    # rows, then columns: several times faster than one np.ix_ gather of n x n
-    adj = oc.adjacent[oc.class_of][:, oc.class_of]
-    np.fill_diagonal(adj, False)
-    return ThetaGraph(g, adj)
+    """The graph of g; it holds g's read-only ``OrderClasses.expansion``, made once per group."""
+    return ThetaGraph(g, g.order_classes.expansion)
 
 
 def prime_order_set(t: ThetaGraph) -> frozenset[int]:

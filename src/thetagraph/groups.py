@@ -65,6 +65,14 @@ class OrderClasses:
         edge.setflags(write=False)
         return edge
 
+    @cached_property
+    def expansion(self) -> np.ndarray:
+        """(n, n) bool, read-only: ``adjacent`` expanded to the elements, diagonal cleared."""
+        adj = self.adjacent[self.class_of][:, self.class_of]  # rows, then columns: faster than np.ix_
+        np.fill_diagonal(adj, False)
+        adj.setflags(write=False)
+        return adj
+
 
 @dataclass(frozen=True)
 class GroupSpec:

@@ -260,16 +260,20 @@ def test_export_writes_the_export_text_to_stdout_and_to_a_file(tmp_path, capsysb
     assert out.read_bytes() == want.encode("utf-8")
 
 
+# VmHWM is the child's own peak in KiB; ru_maxrss would also count the resident
+# size that the forking process (here pytest) had when it forked the child
 PEAK_RSS_SCRIPT = """
-import resource, sys
+import sys
 from thetagraph.cli import main
 code = main(sys.argv[1:])
 sys.stdout.flush()
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+with open("/proc/self/status") as fh:
+    peak_kib = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print(code, peak_kib, file=sys.stderr)
 """
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is counted in KiB on Linux")
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc/self/status")
 @pytest.mark.parametrize("out", [[], ["--out", os.devnull]], ids=["stdout", "file"])
 @pytest.mark.parametrize("fmt", ["json", "dot"])
 def test_export_at_max_elements_streams_without_holding_the_text(fmt, out):
@@ -283,7 +287,7 @@ def test_export_at_max_elements_streams_without_holding_the_text(fmt, out):
     assert int(peak_kib) < 256 * 1024
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is counted in KiB on Linux")
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc/self/status")
 def test_debug_export_streams_like_the_plain_one():
     # the debug line counts the pieces as they are written, so none is held for it
     proc = subprocess.run(

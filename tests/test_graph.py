@@ -267,6 +267,20 @@ def test_graphs_compare_and_hash_by_identity():
     assert {t: 1, u: 2}[t] == 1 and hash(t) != hash(u)
 
 
+def test_graphs_of_one_group_share_its_expansion_made_once():
+    g = dihedral(6)
+    t, u = build_theta(g), build_theta(g)
+    oc = g.order_classes
+    assert t.adj is u.adj is oc.expansion and not oc.expansion.flags.writeable
+    rule = [
+        [i != j and is_one_or_prime(math.gcd(a, b)) for j, b in enumerate(g.orders)]
+        for i, a in enumerate(g.orders)
+    ]
+    assert oc.expansion.tolist() == rule
+    corrupted = corrupting_builder(g)  # flips a bit in a copy, not in the group's matrix
+    assert corrupted.adj.tolist() != rule and oc.expansion.tolist() == rule
+
+
 def test_primality_is_decided_per_distinct_gcd(monkeypatch):
     # three elements but a gcd of 10**6: testing every integer up to the
     # largest gcd would take a million primality calls

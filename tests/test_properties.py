@@ -461,14 +461,14 @@ def test_search_deeper_than_the_recursion_limit():
 
 
 # sha256 of ",".join(cycle) for the Ore certificate cycles, recorded when
-# Palmer's rotation replaced the closure stripping; a cycle without gaps,
-# such as heisenberg(7)'s or cyclic(1201)'s, is 0..n-1 under both
+# Palmer's rotation started from the degree interleave; the interleave has no
+# gap on any of these graphs, so each digest pins the starting cycle itself
 ORE_CYCLE_SHA256 = [
-    (dihedral(60), "3ed33f352c62bcd356ee2ebdedb4f6dd88dd5ac1e19614bcd01f8c92af71b44d"),
-    (dicyclic(15), "eb3a7b135e13ea11cfbd073f75889e33d04d748177da79c911269644c801fad1"),
-    (heisenberg(7), "d562ab56dea33208322979ff6fdf05f92066c55111c0778e93f493ee9a3629eb"),
-    (dihedral(35), "70a40dd9a6c2d0b6069f475705744603776daefbdcf7d2f2430d840d84dc5beb"),
-    (cyclic(1201), "09cd9ee2580f25fed834a7f9c3e8acfe999dd5bf26d3273333a5a25c75d763c8"),
+    (dihedral(60), "0a3834098e31d6d8a18dcf8d8680a3d6ff1ab326e4c0bdbf411bfa1e4ef1328e"),
+    (dicyclic(15), "1a692fe6a50d7ab1ff8d3fbc597b2c645c664f3f4d61b8e73ab445ba239c721b"),
+    (heisenberg(7), "70016835b56cf386f015cc2bf0e5431a968630b6485df429efcbfe654a699f98"),
+    (dihedral(35), "e5aa0eabbeeec182c64820f27b46461a983b2885462d3332ee32ea327e0939ad"),
+    (cyclic(1201), "8ea0d6b96290f9a4c0ce41d56f15ca71d49ced584c3d1af731dfe89eaba927eb"),
 ]
 
 
@@ -485,14 +485,46 @@ def _ore_holds(t):
     return t.n_vertices >= 3 and bool((t.degrees[ii] + t.degrees[jj] >= t.n_vertices).all())
 
 
-def test_ore_cycles_are_valid_on_every_small_graph_and_at_scale():
+def _random_graph(n, p, seed):
+    """A seeded G(n, p) over a placeholder group of n elements."""
+    upper = np.triu(np.random.default_rng(seed).random((n, n)) < p, k=1)
+    return ThetaGraph(from_orders([f"v{k}" for k in range(n)], [1] + [2] * (n - 1)), upper | upper.T)
+
+
+@pytest.fixture
+def gap_scans(monkeypatch):
+    """Count the calls of properties._gaps: _ore_cycle makes one per rotation
+    step, one more for the loop test that finds no gap, and one in validate_cycle."""
+    calls = []
+    gaps = thetagraph.properties._gaps
+    monkeypatch.setattr(thetagraph.properties, "_gaps", lambda t, c: calls.append(1) or gaps(t, c))
+    return calls
+
+
+def test_ore_cycles_are_valid_on_every_small_graph_and_at_scale(gap_scans):
     graphs = [t for t in _small_graphs(200) if _ore_holds(t)]
-    graphs.append(build_theta(dihedral(2000)))  # n = 4000, about 2000 gaps to remove
-    assert len(graphs) > 100 and _ore_holds(graphs[-1])
+    graphs.append(build_theta(dihedral(2000)))  # n = 4000; the interleave leaves it no gap
+    graphs.append(_random_graph(2000, 0.75, seed=1))  # the interleave leaves it hundreds of gaps
+    assert len(graphs) > 100 and _ore_holds(graphs[-2]) and _ore_holds(graphs[-1])
     for t in graphs:
+        gap_scans.clear()
         verdict = is_hamiltonian(t)
         assert verdict.method == "ore_sufficient", t.group.describe()
         assert validate_cycle(t, verdict.cycle), t.group.describe()
+    assert len(gap_scans) > 100  # the rotation ran on the random graph
+
+
+def test_the_interleave_leaves_no_gap_on_built_in_ore_groups(gap_scans):
+    ore = 0
+    for _, _, _, g in groups.enumerate_groups(200, groups.FAMILIES):
+        t = build_theta(g)
+        if not _ore_holds(t):
+            continue
+        ore += 1
+        gap_scans.clear()
+        assert thetagraph.properties._ore_cycle(t)
+        assert len(gap_scans) == 2, g.describe()  # the loop test and validate_cycle
+    assert ore > 100
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thetagraph.graph import build_theta
+import thetagraph.properties
+from thetagraph.graph import ThetaGraph, build_theta
 from thetagraph.groups import FAMILIES, enumerate_groups, from_orders, order_profile
 from thetagraph.numtheory import is_one_or_prime
 from thetagraph.properties import (
@@ -182,6 +183,26 @@ def test_ore_route_matches_brute_force_on_groups(build):
 @given(orders_strategy)
 def test_ore_route_matches_brute_force_on_any_order_list(orders):
     _assert_ore_route_matches_oracle(_graph_from_orders(orders))
+
+
+def test_ore_route_and_rotation_match_brute_force_on_random_graphs(monkeypatch):
+    # G(n, p) over a placeholder group: the low-degree Ore test against every pair,
+    # and Palmer's rotation from starting cycles that have gaps
+    scans = []
+    gaps = thetagraph.properties._gaps
+    monkeypatch.setattr(thetagraph.properties, "_gaps", lambda t, c: scans.append(1) or gaps(t, c))
+    rng = np.random.default_rng(19)
+    ore = rotated = 0
+    for _ in range(400):
+        n = int(rng.integers(3, 40))
+        upper = np.triu(rng.random((n, n)) < rng.uniform(0.4, 1.0), k=1)
+        t = ThetaGraph(from_orders([f"v{k}" for k in range(n)], [1] + [2] * (n - 1)), upper | upper.T)
+        scans.clear()
+        _assert_ore_route_matches_oracle(t)
+        if _ore_holds_brute_force(t):
+            ore += 1
+            rotated += len(scans) > 2  # more than the loop test and validate_cycle
+    assert 400 > ore > 100 and rotated > 50
 
 
 # ---------------------------------------------------------------------------
