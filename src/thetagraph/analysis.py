@@ -122,5 +122,5 @@ def analyze_group(
         "open_problem_class": classification,
     }
     report["spectrum"] = spectrum_section(t)
-    report["warnings"] = [{"code": c, "message": m} for c, m in t.warnings]
+    report["warnings"] = [{"code": c, "message": m} for c, m in t.group.warnings]
     return report

@@ -46,12 +46,11 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit2(message)
+        raise UsageError(message)
 
 
-class SystemExit2(Exception):
-    def __init__(self, message):
-        super().__init__(message)
+class UsageError(Exception):
+    """Bad input or an unusable output path; main prints it and exits with EXIT_USAGE."""
 
 
 def _configure_logging() -> None:
@@ -64,7 +63,7 @@ def _configure_logging() -> None:
         "debug": logging.DEBUG,
     }
     if level_name not in levels:
-        raise SystemExit2(f"THETA_LOG must be one of error|warn|info|debug, got {level_name!r}")
+        raise UsageError(f"THETA_LOG must be one of error|warn|info|debug, got {level_name!r}")
     logging.basicConfig(level=levels[level_name], format="%(levelname)s %(name)s: %(message)s")
     # set on the package logger too, as basicConfig leaves an already configured root alone
     log.setLevel(levels[level_name])
@@ -80,28 +79,28 @@ def _load_custom(path: str) -> groups.GroupSpec:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise SystemExit2(f"cannot read custom group file: {exc}")
+        raise UsageError(f"cannot read custom group file: {exc}")
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise SystemExit2(f"custom group file is not valid JSON: {exc}")
+        raise UsageError(f"custom group file is not valid JSON: {exc}")
     if not isinstance(doc, dict) or "labels" not in doc or "orders" not in doc:
-        raise SystemExit2('custom group file must be {"labels": [...], "orders": [...]}')
+        raise UsageError('custom group file must be {"labels": [...], "orders": [...]}')
     labels, orders = doc["labels"], doc["orders"]
     if not isinstance(labels, list) or not isinstance(orders, list):
-        raise SystemExit2('custom group "labels" and "orders" must be JSON arrays')
+        raise UsageError('custom group "labels" and "orders" must be JSON arrays')
     for x in orders:
         if not isinstance(x, int) or isinstance(x, bool):
-            raise SystemExit2(f"custom group orders must be integers, got {json.dumps(x)}")
+            raise UsageError(f"custom group orders must be integers, got {json.dumps(x)}")
     try:
         return groups.from_orders([str(x) for x in labels], orders)
     except ValueError as exc:
-        raise SystemExit2(f"invalid custom group: {exc}")
+        raise UsageError(f"invalid custom group: {exc}")
 
 
 def _product(text: str, left: groups.GroupSpec, right: groups.GroupSpec) -> groups.GroupSpec:
     try:
         return groups.direct_product(left, right)
     except ValueError as exc:
-        raise SystemExit2(f"invalid selector {text!r}: {exc}")
+        raise UsageError(f"invalid selector {text!r}: {exc}")
 
 
 def parse_selector(text: str) -> groups.GroupSpec:
@@ -124,9 +123,9 @@ def parse_selector(text: str) -> groups.GroupSpec:
             elif ch == "," and depth == 0 and split_at < 0:
                 split_at = k
         if deepest >= _MAX_PRODUCT_NESTING:
-            raise SystemExit2(f"product selector nests more than {_MAX_PRODUCT_NESTING} deep")
+            raise UsageError(f"product selector nests more than {_MAX_PRODUCT_NESTING} deep")
         if split_at < 0:
-            raise SystemExit2(f"malformed product selector: {text!r}")
+            raise UsageError(f"malformed product selector: {text!r}")
         return _product(text, parse_selector(inner[:split_at]), parse_selector(inner[split_at + 1 :]))
     head, _, rest = text.partition(":")
     try:
@@ -143,11 +142,11 @@ def parse_selector(text: str) -> groups.GroupSpec:
             return groups.heisenberg(int(rest))
         if head == "custom":
             return _load_custom(rest)
-    except SystemExit2:
+    except UsageError:
         raise
     except (TypeError, ValueError) as exc:
-        raise SystemExit2(f"invalid selector {text!r}: {exc}")
-    raise SystemExit2(f"unknown selector {text!r}")
+        raise UsageError(f"invalid selector {text!r}: {exc}")
+    raise UsageError(f"unknown selector {text!r}")
 
 
 def _add_selector_flags(parser: argparse.ArgumentParser) -> None:
@@ -168,7 +167,7 @@ def _group_from_args(args: argparse.Namespace) -> groups.GroupSpec:
         if getattr(args, name) is not None
     ]
     if len(chosen) != 1:
-        raise SystemExit2("exactly one group selector flag is required")
+        raise UsageError("exactly one group selector flag is required")
     name = chosen[0]
     value = getattr(args, name)
     if name == "elem_abelian":
@@ -191,7 +190,7 @@ def _writer(out_path: str | None, append: bool = False):
     except BrokenPipeError:  # the reader left early (``| head``); flush what is left to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except OSError as exc:
-        raise SystemExit2(f"cannot write output: {exc}")
+        raise UsageError(f"cannot write output: {exc}")
 
 
 def _emit(pieces, out_path: str | None) -> None:
@@ -207,7 +206,7 @@ def _emit(pieces, out_path: str | None) -> None:
 
 def _cmd_analyze(args) -> int:
     if args.budget < 0:
-        raise SystemExit2("--budget must be at least 0")
+        raise UsageError("--budget must be at least 0")
     g = _group_from_args(args)
     report = analyze_group(
         g, hamiltonian_budget=args.budget, timestamp=not args.no_timestamp
@@ -272,25 +271,25 @@ def _completed_rows(path: str) -> set[tuple[str, str]] | None:
             if reader.fieldnames is None:
                 return None
             if reader.fieldnames != SEARCH_CSV_HEADER:
-                raise SystemExit2(f"{path} is not a search CSV: its header is not "
+                raise UsageError(f"{path} is not a search CSV: its header is not "
                                   + ",".join(SEARCH_CSV_HEADER))
             return {(row["family"], row["params"]) for row in reader}
     except FileNotFoundError:
         return None
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise SystemExit2(f"cannot read {path}: {exc}")
+        raise UsageError(f"cannot read {path}: {exc}")
 
 
 def _cmd_search(args) -> int:
     if args.max_order < 3:
-        raise SystemExit2("--max-order must be at least 3")
+        raise UsageError("--max-order must be at least 3")
     if args.skip_completed and args.out is None:
-        raise SystemExit2("--skip-completed needs --out")
+        raise UsageError("--skip-completed needs --out")
     families = [f.strip() for f in args.families.split(",")] if args.families else groups.FAMILIES
     try:
         candidates = groups.enumerate_groups(args.max_order, families)
     except ValueError as exc:
-        raise SystemExit2(str(exc))
+        raise UsageError(str(exc))
 
     done = _completed_rows(args.out) if args.skip_completed else None
     appending = done is not None
@@ -384,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
         parser = _build_parser()
         args = parser.parse_args(argv)
         return args.fn(args)
-    except SystemExit2 as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CrossCheckError as exc:

@@ -53,18 +53,6 @@ class ThetaGraph:
         return len(self.group.orders)
 
     @property
-    def warnings(self) -> tuple[tuple[str, str], ...]:
-        """The group's warnings; groups of size <= 2 are accepted but
-        flagged, since the defining setting assumes |G| > 2."""
-        warnings = tuple(self.group.warnings)
-        n = self.n_vertices
-        if n <= 2:
-            warnings += (
-                ("small_group", f"|G|={n} is at or below 2; the graph definition assumes |G|>2"),
-            )
-        return warnings
-
-    @property
     def edge_count(self) -> int:
         return int(self.degrees.sum()) // 2
 
@@ -139,7 +127,7 @@ def json_pieces(t: ThetaGraph) -> Iterator[str]:
     after = json.dumps(
         {
             "degrees": t.degrees.tolist(),
-            "warnings": [{"code": c, "message": m} for c, m in t.warnings],
+            "warnings": [{"code": c, "message": m} for c, m in t.group.warnings],
         },
         indent=2,
     )

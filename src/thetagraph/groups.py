@@ -9,7 +9,7 @@ defining presentations where an independent oracle is wanted.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, isqrt, lcm
 
@@ -78,17 +78,14 @@ class OrderClasses:
 class GroupSpec:
     """A finite group as labeled element orders.
 
-    Exactly one element (at ``identity_index``) has order 1. ``warnings``
-    holds machine-readable (code, message) pairs produced at construction,
-    e.g. a Lagrange violation in a user-supplied order list.
+    Exactly one element has order 1. The identity's index and the
+    ``warnings`` are derived from the orders alone, as the graph is.
     """
 
     family: str
     params: dict
     labels: tuple[str, ...]
     orders: tuple[int, ...]
-    identity_index: int = 0
-    warnings: tuple[tuple[str, str], ...] = field(default=())
 
     def __post_init__(self):
         if not self.labels:
@@ -97,15 +94,34 @@ class GroupSpec:
             raise ValueError("labels and orders must have equal length")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("element labels must be unique")
-        identities = [i for i, o in enumerate(self.orders) if o == 1]
-        if len(identities) != 1:
-            raise ValueError(f"expected exactly one identity element, found {len(identities)}")
-        if identities[0] != self.identity_index:
-            raise ValueError("identity_index does not point at the order-1 element")
+        identities = self.orders.count(1)
+        if identities != 1:
+            raise ValueError(f"expected exactly one identity element, found {identities}")
         if any(o < 1 for o in self.orders):
             raise ValueError("element orders must be positive")
         if max(self.orders) > MAX_ORDER:
             raise ValueError(f"element orders must be at most 2**63 - 1, got {max(self.orders)}")
+
+    @cached_property
+    def identity_index(self) -> int:
+        return self.orders.index(1)
+
+    @cached_property
+    def warnings(self) -> tuple[tuple[str, str], ...]:
+        """Machine-readable (code, message) pairs: each element whose order
+        does not divide |G| (Lagrange), in element order, then ``small_group``
+        when |G| <= 2, since the graph definition assumes |G| > 2."""
+        n = self.size
+        warnings = tuple(
+            ("lagrange_violation", f"order {o} of element {label!r} does not divide group size {n}")
+            for label, o in zip(self.labels, self.orders)
+            if n % o != 0
+        )
+        if n <= 2:
+            warnings += (
+                ("small_group", f"|G|={n} is at or below 2; the graph definition assumes |G|>2"),
+            )
+        return warnings
 
     @property
     def size(self) -> int:
@@ -250,13 +266,8 @@ def direct_product(g: GroupSpec, h: GroupSpec) -> GroupSpec:
         for lb, ob in zip(h.labels, h.orders):
             labels.append(f"({la},{lb})")
             orders.append(lcm(oa, ob))
-    identity = g.identity_index * h.size + h.identity_index
     return GroupSpec(
-        "product",
-        {"left": g.describe(), "right": h.describe()},
-        tuple(labels),
-        tuple(orders),
-        identity_index=identity,
+        "product", {"left": g.describe(), "right": h.describe()}, tuple(labels), tuple(orders)
     )
 
 
@@ -264,25 +275,13 @@ def from_orders(labels: list[str], orders: list[int]) -> GroupSpec:
     """A user-supplied group given only as labels and element orders.
 
     An order list alone cannot prove group-ness, so Lagrange violations
-    (an order not dividing the element count) produce a warning on the
-    returned spec rather than an error. Structural problems -- no identity,
+    (an order not dividing the element count) show in the spec's
+    ``warnings`` rather than as an error. Structural problems -- no identity,
     several identities, mismatched lengths -- are rejected by GroupSpec.
     """
     n = len(orders)
     _check_size(f"custom(order={n})", n)
-    warnings = tuple(
-        ("lagrange_violation", f"order {o} of element {label!r} does not divide group size {n}")
-        for label, o in zip(labels, orders)
-        if o >= 1 and n % o != 0
-    )
-    return GroupSpec(
-        "custom",
-        {"n": n},
-        tuple(labels),
-        tuple(orders),
-        identity_index=orders.index(1) if 1 in orders else 0,
-        warnings=warnings,
-    )
+    return GroupSpec("custom", {"n": n}, tuple(labels), tuple(orders))
 
 
 def _cyclic_product(a: int, b: int) -> GroupSpec:

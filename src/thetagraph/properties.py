@@ -102,6 +102,10 @@ def _bfs_distances(t: ThetaGraph, src: int, keep: np.ndarray | None = None) -> n
 
 @_once_per_graph
 def is_connected(t: ThetaGraph) -> bool:
+    """A vertex of degree n - 1, such as the identity, joins every pair;
+    otherwise BFS from vertex 0 must reach every vertex."""
+    if bool((t.degrees == t.n_vertices - 1).any()):
+        return True
     return bool((_bfs_distances(t, 0) >= 0).all())
 
 

@@ -281,7 +281,7 @@ def check_planarity(r: CheckResult, t: ThetaGraph, build: Builder) -> CheckResul
         return r
     r.expect(props.is_planar(t), f"cyclic({n}): degenerate case should be planar")
     r.expect(
-        any(code == "small_group" for code, _ in t.warnings),
+        any(code == "small_group" for code, _ in t.group.warnings),
         f"cyclic({n}): missing small-group warning",
     )
     return r

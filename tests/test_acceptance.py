@@ -223,7 +223,7 @@ def test_criterion_09_planarity_iff():
         t = build_theta(cyclic(n))
         if not is_planar(t):
             failures.append(f"cyclic({n}) degenerate should be planar")
-        if not any(code == "small_group" for code, _ in t.warnings):
+        if not any(code == "small_group" for code, _ in t.group.warnings):
             failures.append(f"cyclic({n}) missing degenerate warning")
     elapsed = time.perf_counter() - started
     if elapsed >= 5.0:

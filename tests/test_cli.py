@@ -431,6 +431,24 @@ def test_product_flag_takes_a_custom_path_with_a_comma(tmp_path, capsys):
     assert json.loads(out)["group"]["order"] == 4
 
 
+@pytest.mark.parametrize(
+    "command, orders",
+    # [1, 3] x Z_2 fails analyze's completeness cross-check (one element of
+    # order 6 meets every other at a gcd of 1 or a prime), so analyze reads [1, 3, 4, 4]
+    [(("export", "--format", "json"), [1, 3]), (("analyze", "--no-timestamp"), [1, 3, 4, 4])],
+)
+def test_product_with_a_custom_factor_reports_its_lagrange_violations(tmp_path, capsys, command, orders):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"labels": ["e", "a", "b", "c"][: len(orders)], "orders": orders}))
+    code, out, _ = run_cli(capsys, *command, "--product", f"custom:{path}", "cyclic:2")
+    assert code == 0
+    n = 2 * len(orders)
+    assert [(w["code"], w["message"]) for w in json.loads(out)["warnings"]] == [
+        ("lagrange_violation", f"order {o} of element {label!r} does not divide group size {n}")
+        for label, o in (("(a,0)", 3), ("(a,1)", 6))
+    ]
+
+
 def test_product_flag(capsys):
     code, out, _ = run_cli(
         capsys, "analyze", "--product", "cyclic:3", "cyclic:3", "--no-timestamp"

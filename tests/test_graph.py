@@ -145,7 +145,7 @@ def _reference_export_json(t):
         "orders": list(t.group.orders),
         "edges": [[i, j] for i, j in t.edges()],
         "degrees": t.degrees.tolist(),
-        "warnings": [{"code": c, "message": m} for c, m in t.warnings],
+        "warnings": [{"code": c, "message": m} for c, m in t.group.warnings],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -232,15 +232,15 @@ def test_export_json_edge_counts():
 def test_small_group_warning():
     for n in (1, 2):
         t = build_theta(cyclic(n))
-        assert any(code == "small_group" for code, _ in t.warnings)
-    assert not any(code == "small_group" for code, _ in build_theta(cyclic(3)).warnings)
+        assert any(code == "small_group" for code, _ in t.group.warnings)
+    assert not any(code == "small_group" for code, _ in build_theta(cyclic(3)).group.warnings)
 
 
 def _derived_graph_groups():
     yield from (g for *_, g in enumerate_groups(64, FAMILIES))
     yield cyclic(1)
     yield cyclic(2)
-    # user groups carry Lagrange warnings, which the graph passes on
+    # user groups carry Lagrange warnings
     yield from_orders(["e", "a"], [1, 3])
     yield from_orders(["e", "a", "b", "c"], [1, 3, 2, 2])
 
@@ -253,9 +253,9 @@ def test_graph_derives_degrees_warnings_and_prime_order_set(build):
         assert np.array_equal(t.degrees, t.adj.sum(axis=1)), name
         assert t.degrees.dtype == np.int64, name
         assert not t.adj.flags.writeable and not t.degrees.flags.writeable, name
-        small = [w for w in t.warnings if w[0] == "small_group"]
-        assert bool(small) == (g.size <= 2), name
-        assert [w for w in t.warnings if w[0] != "small_group"] == list(g.warnings), name
+        codes = [code for code, _ in t.group.warnings]
+        lagrange = [o for o in g.orders if g.size % o]
+        assert codes == ["lagrange_violation"] * len(lagrange) + ["small_group"] * (g.size <= 2), name
         s = prime_order_set(t)
         assert type(s) is frozenset, name
         assert s == {i for i, o in enumerate(g.orders) if is_one_or_prime(o)}, name

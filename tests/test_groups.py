@@ -1,5 +1,6 @@
 """Group constructors against independent presentation/Cayley-table oracles."""
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -7,7 +8,9 @@ import pytest
 
 from thetagraph.graph import build_theta
 from thetagraph.groups import (
+    FAMILIES,
     MAX_ELEMENTS,
+    GroupSpec,
     cyclic,
     dicyclic,
     dihedral,
@@ -297,6 +300,76 @@ def test_order_profile_examples():
 # ---------------------------------------------------------------------------
 # family-wide invariants
 # ---------------------------------------------------------------------------
+
+
+# ---------------------------------------------------------------------------
+# the identity and the warnings, derived from the orders
+# ---------------------------------------------------------------------------
+
+
+def _small_group_warning(n):
+    return ("small_group", f"|G|={n} is at or below 2; the graph definition assumes |G|>2")
+
+
+def _lagrange_warning(label, order, n):
+    return ("lagrange_violation", f"order {order} of element {label!r} does not divide group size {n}")
+
+
+_IDENTITY_SECOND = from_orders(["a", "e"], [2, 1])
+_CUSTOM_WARNINGS = {
+    (("e", "a"), (1, 3)): (_lagrange_warning("a", 3, 2), _small_group_warning(2)),
+    (("e", "a", "b", "c"), (1, 3, 2, 2)): (_lagrange_warning("a", 3, 4),),
+}
+
+
+def _built_in_groups():
+    """Every built-in group of order <= 200, plus the degenerate ones below order 3."""
+    yield from (build(*args) for *_, build, args in group_keys(200, FAMILIES))
+    yield from (cyclic(1), cyclic(2), dihedral(1))
+
+
+def _identity_by_construction():
+    """(spec, identity index): the families list the identity first, a custom
+    list where its order 1 stands, and G x H at e_G * |H| + e_H."""
+    yield from ((g, 0) for g in _built_in_groups())
+    yield from ((from_orders(list(labels), list(orders)), 0) for labels, orders in _CUSTOM_WARNINGS)
+    yield _IDENTITY_SECOND, 1
+    yield direct_product(_IDENTITY_SECOND, cyclic(3)), 1 * 3 + 0
+    yield direct_product(cyclic(3), _IDENTITY_SECOND), 0 * 2 + 1
+    yield direct_product(_IDENTITY_SECOND, _IDENTITY_SECOND), 1 * 2 + 1
+
+
+def test_identity_index_is_derived_from_the_orders():
+    for g, identity in _identity_by_construction():
+        assert g.identity_index == identity, g.describe()
+        assert g.orders[identity] == 1, g.describe()
+
+
+def test_built_in_groups_warn_only_when_small():
+    for g in _built_in_groups():
+        assert g.warnings == (() if g.size > 2 else (_small_group_warning(g.size),)), g.describe()
+
+
+def test_custom_groups_list_lagrange_violations_then_small_group():
+    for (labels, orders), warnings in _CUSTOM_WARNINGS.items():
+        assert from_orders(list(labels), list(orders)).warnings == warnings
+
+
+def test_product_with_a_lagrange_violating_factor_keeps_its_warnings():
+    g = direct_product(from_orders(["e", "a"], [1, 3]), cyclic(2))
+    assert g.orders == (1, 2, 3, 6)
+    assert g.warnings == (_lagrange_warning("(a,0)", 3, 4), _lagrange_warning("(a,1)", 6, 4))
+
+
+def test_group_spec_holds_only_what_it_is_given():
+    assert [f.name for f in dataclasses.fields(GroupSpec)] == ["family", "params", "labels", "orders"]
+    g = from_orders(["e", "a"], [1, 3])
+    assert g.warnings is g.warnings  # computed once
+    for name, value in (("identity_index", 1), ("warnings", ())):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, name, value)
+        with pytest.raises(TypeError):
+            GroupSpec("custom", {"n": 2}, ("e", "a"), (1, 3), **{name: value})
 
 
 def _family_samples():

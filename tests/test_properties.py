@@ -74,6 +74,29 @@ def test_connected_and_diameter(n, expected):
     assert diameter(t) == expected
 
 
+def test_is_connected_reads_the_universal_identity_without_bfs(monkeypatch):
+    monkeypatch.setattr(thetagraph.properties, "_bfs_distances", lambda *a: pytest.fail("BFS ran"))
+    small = [build(*args) for _, _, _, build, args in groups.group_keys(64, groups.FAMILIES)]
+    for g in (cyclic(1), cyclic(2), *small):
+        assert is_connected(build_theta(g)), g.describe()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_is_connected_without_a_universal_vertex_matches_networkx(seed):
+    rng = np.random.default_rng(seed)
+    hs = [nx.gnp_random_graph(int(rng.integers(2, 16)), float(rng.uniform(0.05, 0.6)), seed=int(k))
+          for k in rng.integers(0, 2**31, 40)]
+    hs += [nx.path_graph(6), nx.cycle_graph(7), nx.petersen_graph(), nx.empty_graph(3),
+           nx.disjoint_union(nx.cycle_graph(4), nx.complete_graph(3))]
+    graphs = [_theta_from_nx(h) for h in hs] + [corrupting_builder(cyclic(2))]
+    verdicts = []
+    for t in graphs:
+        if not (t.degrees == t.n_vertices - 1).any():
+            verdicts.append(is_connected(t))
+            assert verdicts[-1] == nx.is_connected(_nx_graph(t))
+    assert len(verdicts) >= 30 and any(verdicts) and not all(verdicts)
+
+
 def test_diameter_matches_networkx_on_samples():
     # enumerate_groups starts the cyclic family at order 3
     for t in (build_theta(cyclic(1)), build_theta(cyclic(2)), *_small_graphs(64)):
@@ -773,7 +796,8 @@ def test_cross_check_error_on_corrupted_graph():
 
 
 def test_analyze_computes_twin_classes_and_connectivity_once(monkeypatch):
-    # H = Θ(G) - S(G) is disconnected for dihedral(60), so no partition is built
+    # H = Θ(G) - S(G) is disconnected for dihedral(60), so no partition is built;
+    # the identity is universal, so is_connected runs no whole-graph BFS
     twin, bfs = thetagraph.properties._false_twin_classes, thetagraph.properties._bfs_distances
 
     def counting_bfs(t, src, keep=None):
@@ -789,7 +813,7 @@ def test_analyze_computes_twin_classes_and_connectivity_once(monkeypatch):
         twin_calls, connectivity_bfs = [], []
         analyze_group(g, timestamp=False)
         assert len(twin_calls) == partitions, g.describe()
-        assert connectivity_bfs == [0], g.describe()
+        assert connectivity_bfs == [], g.describe()
 
 
 def test_analyze_checks_each_certificate_once(monkeypatch):
