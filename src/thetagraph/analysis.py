@@ -78,7 +78,7 @@ def analyze_group(
     }
 
     connected = props.is_connected(t)
-    diam = props.diameter(t) if connected else None
+    diam = props.diameter(t)
     g_girth = props.girth(t)
     dom_number, dom_witness = props.domination_number(t)
     planar, planar_method = props.planarity_decision(t)

@@ -1,9 +1,12 @@
 """Exact structural decisions for prime coprime graphs.
 
-Most predicates are decided twice: once from the graph (BFS, flow, search)
-and once from the group's order profile via the matching characterization.
-The two routes are cross-asserted; a disagreement raises CrossCheckError,
-which always signals an implementation bug rather than bad input.
+Most predicates are decided twice: once from the graph (degrees, flow,
+search) and once from the group's order profile via the matching
+characterization. The two routes are cross-asserted; a disagreement raises
+CrossCheckError, which always signals an implementation bug rather than bad
+input. Connectedness, diameter and girth are read off the universal
+vertices, which the identity guarantees; a graph with none raises
+CrossCheckError too.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ def _agree(
     detail = f"{what} criteria disagree on {t.group.describe()}" + (
         f": graph={graph_side} group={group_side}" if vertex is None else f" at vertex {vertex}"
     )
-    if t.group.family == "custom":
+    if "custom(" in t.group.describe():  # a custom order list, alone or as a product factor
         detail += "; the supplied order list is likely not the order profile of any finite group"
     raise CrossCheckError(detail)
 
@@ -83,81 +86,53 @@ def _once_per_graph(fn):
 # ---------------------------------------------------------------------------
 
 
-def _bfs_distances(t: ThetaGraph, src: int, keep: np.ndarray | None = None) -> np.ndarray:
-    """Hop distances from src (-1 where unreachable), one numpy step per
-    BFS level: the next frontier is every unseen neighbour of the current one.
-    With a boolean mask keep, the search stays inside the kept vertices."""
-    dist = np.full(t.n_vertices, -1, dtype=np.int64)
-    frontier = np.zeros(t.n_vertices, dtype=bool)
-    frontier[src] = True
-    seen = frontier.copy() if keep is None else frontier | ~keep
-    level = 0
+def _reached(t: ThetaGraph, src: int, keep: np.ndarray) -> np.ndarray:
+    """The vertices reachable from src inside the boolean mask keep, as a
+    mask, one numpy step per BFS level: the next frontier is every kept,
+    unreached neighbour of the current one."""
+    reached = np.zeros(t.n_vertices, dtype=bool)
+    reached[src] = True
+    frontier = reached.copy()
     while frontier.any():
-        dist[frontier] = level
-        level += 1
-        frontier = t.adj[frontier].any(axis=0) & ~seen
-        seen |= frontier
-    return dist
+        frontier = t.adj[frontier].any(axis=0) & keep & ~reached
+        reached |= frontier
+    return reached
 
 
-@_once_per_graph
+def _universal(t: ThetaGraph) -> np.ndarray:
+    """The universal vertices (degree n - 1). In Θ(G) the identity is one,
+    as gcd(1, m) = 1; a graph with none contradicts the group side."""
+    universal = np.flatnonzero(t.degrees == t.n_vertices - 1)
+    if not universal.size:
+        raise CrossCheckError(
+            f"no universal vertex in the graph of {t.group.describe()}; the identity should be universal"
+        )
+    return universal
+
+
 def is_connected(t: ThetaGraph) -> bool:
-    """A vertex of degree n - 1, such as the identity, joins every pair;
-    otherwise BFS from vertex 0 must reach every vertex."""
-    if bool((t.degrees == t.n_vertices - 1).any()):
-        return True
-    return bool((_bfs_distances(t, 0) >= 0).all())
+    """True: a universal vertex, such as the identity, joins every pair."""
+    _universal(t)
+    return True
 
 
 def diameter(t: ThetaGraph) -> int:
-    """Longest shortest-path distance; only defined on connected graphs.
-
-    1 on a complete graph; otherwise 2 when some vertex is universal, as it
-    is a common neighbour of every non-adjacent pair; otherwise the largest
-    BFS eccentricity.
-    """
-    n = t.n_vertices
-    if not is_connected(t):
-        raise ValueError("diameter is undefined for a disconnected graph")
-    if n == 1:
+    """0 on one vertex, 1 on a complete graph, and otherwise 2, as a
+    universal vertex is a common neighbour of every non-adjacent pair."""
+    _universal(t)
+    if t.n_vertices == 1:
         return 0
-    if _complete_graph_side(t):
-        return 1
-    if bool((t.degrees == n - 1).any()):
-        return 2
-    return max(int(_bfs_distances(t, src).max()) for src in range(n))
+    return 1 if _complete_graph_side(t) else 2
 
 
 def girth(t: ThetaGraph):
-    """Length of a shortest cycle, or math.inf for forests.
+    """Length of a shortest cycle: math.inf on a star, otherwise 3.
 
-    A graph with c components is a forest iff it has n - c edges, and only
-    a graph with fewer than n edges can be one; that settles forests before
-    any search. A universal vertex, such as the identity, closes a triangle
-    with any edge that avoids it, and outside a forest such an edge exists.
-    Otherwise BFS from every root and read its levels: a vertex on level d
-    with two neighbours on level d - 1 bounds the girth by 2d, and an edge
-    inside level d bounds it by 2d + 1; a root on a shortest cycle meets its
-    length exactly, so the minimum over all roots is the girth.
+    A universal vertex has n - 1 edges; any other edge avoids it and closes
+    a triangle with it. A graph with no other edge is a star, a tree.
     """
-    n = t.n_vertices
-    if t.edge_count < n and t.edge_count == n - components_after_removal(t, ()):
-        return math.inf
-    if bool((t.degrees == n - 1).any()):
-        return 3
-    best = math.inf
-    for src in range(n):
-        dist = _bfs_distances(t, src)
-        d = 1
-        while 2 * d < best and (level := dist == d).any():
-            if (t.adj[np.ix_(level, dist == d - 1)].sum(axis=1) >= 2).any():
-                best = 2 * d
-            elif t.adj[np.ix_(level, level)].any():
-                best = 2 * d + 1
-            d += 1
-        if best == 3:
-            return 3
-    return best
+    _universal(t)
+    return math.inf if t.edge_count == t.n_vertices - 1 else 3
 
 
 def components_after_removal(t: ThetaGraph, removed) -> int:
@@ -174,7 +149,7 @@ def components_after_removal(t: ThetaGraph, removed) -> int:
     unseen &= ~isolated
     while unseen.any():
         count += 1
-        unseen &= _bfs_distances(t, int(np.argmax(unseen)), unseen) < 0
+        unseen &= ~_reached(t, int(np.argmax(unseen)), unseen)
     return count
 
 
@@ -430,7 +405,7 @@ def is_hamiltonian(t: ThetaGraph, node_budget: int = DEFAULT_NODE_BUDGET) -> Ham
     toughness-based no carries the separating set. Ore's bound is read on
     the rows of degree below n/2 only: d_u + d_v < n needs one of them."""
     n = t.n_vertices
-    if n < 3 or not is_connected(t):
+    if n < 3:
         return HamiltonianVerdict("no", None, "exact_search", 0)
     low = np.flatnonzero(2 * t.degrees < n)
     # the bounds as a column, not an n x n int64; a row's own vertex is no pair

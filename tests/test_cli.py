@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 import logging
 import os
@@ -449,6 +450,16 @@ def test_product_with_a_custom_factor_reports_its_lagrange_violations(tmp_path, 
     ]
 
 
+def test_product_with_a_custom_factor_that_fails_a_cross_check_gives_the_hint(tmp_path, capsys):
+    # the hint names the supplied order list wherever it sits in the group, not only at the top
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"labels": ["e", "a"], "orders": [1, 3]}))
+    for selectors in (("custom:" + str(path), "cyclic:2"), ("cyclic:2", f"product(cyclic:1,custom:{path})")):
+        code, out, err = run_cli(capsys, "analyze", "--no-timestamp", "--product", *selectors)
+        assert code == 2 and out == ""
+        assert "completeness criteria disagree" in err and "not the order profile" in err
+
+
 def test_product_flag(capsys):
     code, out, _ = run_cli(
         capsys, "analyze", "--product", "cyclic:3", "cyclic:3", "--no-timestamp"
@@ -492,6 +503,16 @@ def test_verify_corrupt_negative_control(capsys, suite):
     assert code == 2
     assert "FAIL" in out
     assert CORRUPT_FAILURE[suite] in out
+
+
+# the whole negative-control report, so that no failure line changes unnoticed
+CORRUPT_ALL_SHA256 = "bc36a83d95228b3eea7d6f4a7e2f2b9f555d7ea384f18ee68c7507c6e241f397"
+
+
+def test_verify_corrupt_report_is_pinned(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--corrupt")
+    assert code == 2 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == CORRUPT_ALL_SHA256
 
 
 def test_verify_names_a_check_that_raises_by_its_title(capsys):

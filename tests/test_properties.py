@@ -24,7 +24,6 @@ from thetagraph.groups import (
 )
 from thetagraph.properties import (
     CrossCheckError,
-    _bfs_distances,
     _false_twin_classes,
     _hamiltonian_search,
     _min_cut,
@@ -75,26 +74,10 @@ def test_connected_and_diameter(n, expected):
 
 
 def test_is_connected_reads_the_universal_identity_without_bfs(monkeypatch):
-    monkeypatch.setattr(thetagraph.properties, "_bfs_distances", lambda *a: pytest.fail("BFS ran"))
+    monkeypatch.setattr(thetagraph.properties, "_reached", lambda *a: pytest.fail("BFS ran"))
     small = [build(*args) for _, _, _, build, args in groups.group_keys(64, groups.FAMILIES)]
     for g in (cyclic(1), cyclic(2), *small):
         assert is_connected(build_theta(g)), g.describe()
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_is_connected_without_a_universal_vertex_matches_networkx(seed):
-    rng = np.random.default_rng(seed)
-    hs = [nx.gnp_random_graph(int(rng.integers(2, 16)), float(rng.uniform(0.05, 0.6)), seed=int(k))
-          for k in rng.integers(0, 2**31, 40)]
-    hs += [nx.path_graph(6), nx.cycle_graph(7), nx.petersen_graph(), nx.empty_graph(3),
-           nx.disjoint_union(nx.cycle_graph(4), nx.complete_graph(3))]
-    graphs = [_theta_from_nx(h) for h in hs] + [corrupting_builder(cyclic(2))]
-    verdicts = []
-    for t in graphs:
-        if not (t.degrees == t.n_vertices - 1).any():
-            verdicts.append(is_connected(t))
-            assert verdicts[-1] == nx.is_connected(_nx_graph(t))
-    assert len(verdicts) >= 30 and any(verdicts) and not all(verdicts)
 
 
 def test_diameter_matches_networkx_on_samples():
@@ -104,17 +87,8 @@ def test_diameter_matches_networkx_on_samples():
         if nx.is_connected(h):
             assert diameter(t) == nx.diameter(h), t.group.describe()
         else:
-            with pytest.raises(ValueError):
+            with pytest.raises(CrossCheckError):
                 diameter(t)
-
-
-@pytest.mark.parametrize(
-    "h, expected",
-    [(nx.path_graph(6), 5), (nx.cycle_graph(6), 3), (nx.petersen_graph(), 2)],
-)
-def test_diameter_without_a_universal_vertex_matches_networkx(h, expected):
-    assert nx.diameter(h) == expected
-    assert diameter(_theta_from_nx(h)) == expected
 
 
 def test_diameter_of_a_large_star_with_the_identity_last_is_fast():
@@ -123,18 +97,6 @@ def test_diameter_of_a_large_star_with_the_identity_last_is_fast():
     started = time.perf_counter()
     assert diameter(t) == 2
     assert time.perf_counter() - started < 1.0
-
-
-def test_bfs_distances_match_networkx():
-    graphs = [*_small_graphs(60), corrupting_builder(cyclic(2))]  # the last is disconnected
-    for t in graphs:
-        g = _nx_graph(t)
-        n = t.n_vertices
-        for src in sorted({0, n // 2, n - 1}):
-            expected = np.full(n, -1)
-            for v, d in nx.single_source_shortest_path_length(g, src).items():
-                expected[v] = d
-            assert np.array_equal(_bfs_distances(t, src), expected), (t.group.describe(), src)
 
 
 @pytest.mark.parametrize("n", [3, 4, 9])
@@ -189,9 +151,25 @@ def _theta_from_nx(h):
     ],
 )
 def test_girth_matches_networkx_on_hand_built_graphs(h, expected):
+    # only the wheel and the star have a universal vertex, as every prime
+    # coprime graph does; girth refuses the others rather than search them
     t = _theta_from_nx(h)
     assert nx.girth(h) == expected
-    assert girth(t) == expected
+    if (t.degrees == t.n_vertices - 1).any():
+        assert girth(t) == expected
+    else:
+        with pytest.raises(CrossCheckError, match="the identity should be universal"):
+            girth(t)
+
+
+@pytest.mark.parametrize("fact", [is_connected, diameter, girth])
+def test_graphs_without_a_universal_vertex_raise_cross_check_error(fact):
+    # the identity of a group is universal, so a graph with no universal vertex
+    # contradicts the group side; P6 and C6 are connected, corrupted cyclic(2) is not
+    hs = [nx.path_graph(6), nx.cycle_graph(6), nx.petersen_graph()]
+    for t in [*(_theta_from_nx(h) for h in hs), corrupting_builder(cyclic(2))]:
+        with pytest.raises(CrossCheckError, match="the identity should be universal"):
+            fact(t)
 
 
 @pytest.mark.parametrize("build", [build_theta, corrupting_builder])
@@ -209,12 +187,12 @@ def test_girth_of_a_large_star_is_settled_before_any_search(monkeypatch, identit
     orders[identity] = 1
     t = build_theta(from_orders([str(k) for k in range(4096)], orders))
     calls = []
-    bfs = thetagraph.properties._bfs_distances
+    bfs = thetagraph.properties._reached
     monkeypatch.setattr(
-        thetagraph.properties, "_bfs_distances", lambda *a, **kw: calls.append(a) or bfs(*a, **kw)
+        thetagraph.properties, "_reached", lambda *a, **kw: calls.append(a) or bfs(*a, **kw)
     )
     assert girth(t) == math.inf
-    assert len(calls) == 1  # the component count's one BFS, and no search from any root
+    assert calls == []  # the edge count alone settles it
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +398,17 @@ def test_hamiltonian_small_graphs_are_no():
     assert is_hamiltonian(build_theta(cyclic(2))).status == "no"
 
 
+@pytest.mark.parametrize(
+    "h",
+    [nx.disjoint_union(nx.cycle_graph(4), nx.complete_graph(3)), nx.empty_graph(3),
+     nx.disjoint_union(nx.complete_graph(3), nx.complete_graph(3))],
+)
+def test_hamiltonian_is_no_on_disconnected_graphs(h):
+    # no connectivity short-cut: Ore's condition fails and the search finds no cycle
+    verdict = is_hamiltonian(_theta_from_nx(h))
+    assert (verdict.status, verdict.cycle, verdict.method) == ("no", None, "exact_search")
+
+
 def test_hamiltonian_exact_search_branch():
     # identity + three order-4 elements + one each of orders 6 and 8:
     # Ore fails (two order-4 vertices have degree sum 4 < 6) and no
@@ -596,6 +585,20 @@ def test_components_after_removal_examples():
     assert components_after_removal(t6, nongen) == 2
     assert components_after_removal(t6, set()) == 1
     assert components_after_removal(t6, set(range(6))) == 0
+
+
+def test_components_after_removal_matches_networkx_on_random_graphs():
+    rng = np.random.default_rng(5)
+    disconnected = 0
+    for k in range(200):
+        n = int(rng.integers(1, 20))
+        t = _random_graph(n, float(rng.uniform(0.02, 0.5)), seed=k)
+        g = _nx_graph(t)
+        disconnected += not nx.is_connected(g)
+        for removed in (set(), set(rng.choice(n, int(rng.integers(0, n + 1)), replace=False).tolist())):
+            expected = nx.number_connected_components(g.subgraph(set(range(n)) - removed))
+            assert components_after_removal(t, removed) == expected, (k, sorted(removed))
+    assert disconnected > 50
 
 
 @pytest.mark.parametrize("removed", [{6}, {-1}, [0, 7]])
@@ -797,18 +800,18 @@ def test_cross_check_error_on_corrupted_graph():
 
 def test_analyze_computes_twin_classes_and_connectivity_once(monkeypatch):
     # H = Θ(G) - S(G) is disconnected for dihedral(60), so no partition is built;
-    # the identity is universal, so is_connected runs no whole-graph BFS
-    twin, bfs = thetagraph.properties._false_twin_classes, thetagraph.properties._bfs_distances
+    # connectedness is read off the universal vertices, so no search spans the whole graph
+    twin, bfs = thetagraph.properties._false_twin_classes, thetagraph.properties._reached
 
-    def counting_bfs(t, src, keep=None):
-        if keep is None:  # whole-graph BFS; the component counts pass a mask
+    def counting_bfs(t, src, keep):
+        if keep.all():  # whole-graph BFS; the component counts of a cut keep a strict subset
             connectivity_bfs.append(src)
         return bfs(t, src, keep)
 
     monkeypatch.setattr(
         thetagraph.properties, "_false_twin_classes", lambda t, keep: twin_calls.append(t) or twin(t, keep)
     )
-    monkeypatch.setattr(thetagraph.properties, "_bfs_distances", counting_bfs)
+    monkeypatch.setattr(thetagraph.properties, "_reached", counting_bfs)
     for g, partitions in ((dihedral(60), 0), (dicyclic(15), 1)):
         twin_calls, connectivity_bfs = [], []
         analyze_group(g, timestamp=False)
