@@ -2,10 +2,9 @@
 
 Vertices are the group elements; two distinct vertices are joined exactly
 when the gcd of their element orders is 1 or a prime. The graph is stored
-as a dense symmetric boolean matrix: analysed graphs have a few hundred
-vertices, exported ones a few thousand, and ``groups.MAX_ELEMENTS`` (4096)
-keeps the matrix within 16 MiB, so O(1) adjacency and trivially cached
-degrees beat any sparse representation.
+as a dense symmetric boolean matrix: ``groups.MAX_ELEMENTS`` (4096) keeps
+it within 16 MiB, so O(1) adjacency and trivially cached degrees beat any
+sparse representation; export reads its rows off the order classes instead.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import GroupSpec
+from .groups import GroupSpec, OrderClasses
 
 __all__ = [
     "ThetaGraph",
@@ -24,6 +23,7 @@ __all__ = [
     "dot_pieces",
     "export_dot",
     "export_json",
+    "group_classes",
     "json_pieces",
     "prime_order_set",
 ]
@@ -76,18 +76,31 @@ def prime_order_set(t: ThetaGraph) -> frozenset[int]:
     return frozenset(np.flatnonzero(oc.one_or_prime[oc.class_of]).tolist())
 
 
-def _edge_rows(adj: np.ndarray, heads: list[str], tails: list[str], sep: str) -> Iterator[str]:
+def group_classes(t: ThetaGraph) -> OrderClasses:
+    """``t.group.order_classes``; raises ValueError unless ``t.adj`` is their expansion."""
+    oc = t.group.order_classes
+    # O(1) for a graph from build_theta, which holds the expansion itself
+    if t.adj is not oc.expansion and not np.array_equal(t.adj, oc.expansion):
+        raise ValueError("the graph is not the expansion of its group's order classes")
+    return oc
+
+
+def _edge_rows(oc: OrderClasses, heads: list[str], tails: list[str], sep: str) -> Iterator[str]:
     """Yield one text per row i with edges: its edges i < j as ``heads[i] + tails[j]``,
     ascending, joined by ``sep``; rows ascending.
 
-    The head goes into the row's separator, so the edges of a row are
-    formatted by one C-level join, with one Python step per row, not per edge.
+    Equal-order elements are twins, so row i is its class's list of neighbour tails from
+    just past i. The head goes into the separator: one C-level join per row, not per edge.
     """
-    tail_of = np.array(tails, dtype=object)
-    for i, head in enumerate(heads):
-        row = tail_of[i + 1 :][adj[i, i + 1 :]]
-        if row.size:
-            yield head + (sep + head).join(row.tolist())
+    tail_of, lists, start = np.array(tails, dtype=object), [], np.empty(len(tails), dtype=np.int64)
+    for c in range(len(oc.orders)):
+        mine = np.flatnonzero(oc.class_of == c)  # no row of c starts before its first member
+        nbrs = np.flatnonzero(oc.adjacent[c][oc.class_of[mine[0] :]]) + mine[0]
+        lists.append(tail_of[nbrs].tolist())
+        start[mine] = np.searchsorted(nbrs, mine, side="right")
+    for head, c, s in zip(heads, oc.class_of.tolist(), start.tolist()):
+        if s < len(lists[c]):
+            yield head + (sep + head).join(lists[c][s:])
 
 
 def _dot_id(label: str) -> str:
@@ -98,9 +111,10 @@ def _dot_id(label: str) -> str:
 def dot_pieces(t: ThetaGraph) -> Iterator[str]:
     """The DOT document of ``export_dot`` in pieces: the node lines, then
     one piece per vertex with edges to higher vertices, then the closing brace."""
+    oc = group_classes(t)
     ids = [_dot_id(label) for label in t.group.labels]
     yield "graph theta {\n" + "".join(f"  {v};\n" for v in ids)
-    yield from _edge_rows(t.adj, [f"  {v} -- " for v in ids], [f"{v};\n" for v in ids], "")
+    yield from _edge_rows(oc, [f"  {v} -- " for v in ids], [f"{v};\n" for v in ids], "")
     yield "}\n"
 
 
@@ -112,6 +126,7 @@ def json_pieces(t: ThetaGraph) -> Iterator[str]:
     The text equals ``json.dumps(doc, indent=2) + "\\n"`` with ``edges`` a
     list of ``[i, j]`` pairs; only the small fields go through ``json``.
     """
+    oc, n = group_classes(t), t.n_vertices
     before = json.dumps(
         {
             "group": {
@@ -131,9 +146,8 @@ def json_pieces(t: ThetaGraph) -> Iterator[str]:
         },
         indent=2,
     )
-    n = t.n_vertices
     rows = _edge_rows(
-        t.adj, [f"    [\n      {i},\n      " for i in range(n)], [f"{j}\n    ]" for j in range(n)], ",\n"
+        oc, [f"    [\n      {i},\n      " for i in range(n)], [f"{j}\n    ]" for j in range(n)], ",\n"
     )
     # both dumps are "{\n" + top-level members + "\n}"; the edge rows go between them
     yield before[:-2] + ',\n  "edges": ['

@@ -40,7 +40,7 @@ FAMILIES = ("cyclic", "dihedral", "dicyclic", "elementary_abelian", "heisenberg"
 MAX_ORDER = 2**63 - 1
 # every command holds the dense n x n adjacency, 16 MiB at 2**12 elements; only
 # verify and the tests build the 64-bit Q (128 MiB there); the export of a complete
-# graph (8.4 million edges, 300 MB of text) is streamed with about a 65 MB peak
+# graph (8.4 million edges, 300 MB of text) is streamed with about a 49 MB peak
 MAX_ELEMENTS = 2**12
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import ThetaGraph
+from .graph import ThetaGraph, group_classes
 from .numtheory import factorize, squarefree_split
 
 __all__ = [
@@ -221,13 +221,9 @@ def order_class_spectrum(t: ThetaGraph) -> SpectrumResult:
     quotient is symmetrised as in ``quotient_spectrum``, and values are
     grouped by the rule of ``eig_sym`` with the same scale, 2 * max degree.
 
-    Raises ValueError unless ``t.adj`` is exactly the expansion of the class
-    adjacency, so a graph that is not its group's never gets this spectrum.
+    Raises ValueError (``graph.group_classes``) on a graph that is not its group's.
     """
-    oc = t.group.order_classes
-    # O(1) for a graph from build_theta, which holds the expansion itself
-    if t.adj is not oc.expansion and not np.array_equal(t.adj, oc.expansion):
-        raise ValueError("the graph is not the expansion of its group's order classes")
+    oc = group_classes(t)
     counts = oc.adjacent * oc.sizes - np.diag(oc.one_or_prime).astype(np.int64)
     degrees = counts.sum(axis=1)
     q = counts + np.diag(degrees)

@@ -9,9 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 import thetagraph.groups
 from thetagraph.graph import (
+    ThetaGraph,
     build_theta,
+    dot_pieces,
     export_dot,
     export_json,
+    json_pieces,
     prime_order_set,
 )
 from thetagraph.groups import (
@@ -150,6 +153,12 @@ def _reference_export_json(t):
     return json.dumps(doc, indent=2) + "\n"
 
 
+# 100 distinct products p * q of primes p < q
+_SEMIPRIMES = sorted(
+    p * q for p in range(2, 60) for q in range(p + 1, 60) if is_prime(p) and is_prime(q)
+)[:100]
+
+
 def _assert_exports_match_reference(t):
     assert export_json(t) == _reference_export_json(t)
     assert export_dot(t) == _reference_export_dot(t)
@@ -164,6 +173,11 @@ def _assert_exports_match_reference(t):
         heisenberg(5),
         direct_product(cyclic(6), cyclic(35)),
         from_orders(["e", "α", "β→γ", "δ"], [1, 2, 4, 4]),
+        # 13 order classes, interleaved across the whole vertex range
+        cyclic(4096),
+        direct_product(cyclic(64), cyclic(64)),
+        # 100 two-member classes whose members sit 100 apart: each second member's row starts mid-list
+        from_orders([f"g{k}" for k in range(201)], [1] + _SEMIPRIMES + _SEMIPRIMES),
     ],
     ids=lambda g: g.describe(),
 )
@@ -171,8 +185,10 @@ def test_exports_match_per_edge_reference(g):
     _assert_exports_match_reference(build_theta(g))
 
 
-def test_exports_match_per_edge_reference_on_every_group_to_32():
-    for *_, g in enumerate_groups(32, FAMILIES):
+def test_exports_match_per_edge_reference_on_every_group_to_64():
+    groups = [g for *_, g in enumerate_groups(64, FAMILIES)]
+    assert len(groups) == 199
+    for g in groups:
         _assert_exports_match_reference(build_theta(g))
 
 
@@ -182,6 +198,27 @@ def test_exports_match_per_edge_reference_on_any_order_list(orders):
     # the order lists of tests/test_random_graphs.py
     labels = [f"g{k}" for k in range(len(orders) + 1)]
     _assert_exports_match_reference(build_theta(from_orders(labels, [1] + orders)))
+
+
+def _assert_exports_refuse(t):
+    """Every exporter raises before its first piece, so a refused graph writes nothing."""
+    for export in (export_json, export_dot, lambda t: next(json_pieces(t)), lambda t: next(dot_pieces(t))):
+        with pytest.raises(ValueError, match="not the expansion"):
+            export(t)
+
+
+def test_exports_refuse_a_corrupted_graph_on_every_group_to_32():
+    for order, *_, g in enumerate_groups(32, FAMILIES):
+        if order >= 2:  # corrupting_builder leaves the one-vertex graph as it is
+            _assert_exports_refuse(corrupting_builder(g))
+
+
+def test_exports_refuse_a_graph_that_is_not_its_groups():
+    t = build_theta(cyclic(6))
+    adj = t.adj.copy()
+    adj[1, 5] = adj[5, 1] = True  # the two elements of order 6 are not adjacent in Θ(Z_6)
+    _assert_exports_refuse(ThetaGraph(t.group, adj))
+    _assert_exports_refuse(ThetaGraph(t.group, adj[:5, :5]))
 
 
 def test_export_without_edges_keeps_empty_edge_list():
