@@ -1,10 +1,9 @@
 """The prime coprime graph of a finite group.
 
 Vertices are the group elements; two distinct vertices are joined exactly
-when the gcd of their element orders is 1 or a prime. The graph is stored
-as a dense symmetric boolean matrix: ``groups.MAX_ELEMENTS`` (4096) keeps
-it within 16 MiB, so O(1) adjacency and trivially cached degrees beat any
-sparse representation; export reads its rows off the order classes instead.
+when the gcd of their element orders is 1 or a prime. Equal-order elements
+are twins, so a graph is its twin quotient (``groups.TwinQuotient``); the
+dense n x n ``adj`` is made only when something reads it, once per quotient.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import GroupSpec, OrderClasses
+from .groups import GroupSpec, TwinQuotient
 
 __all__ = [
     "ThetaGraph",
@@ -23,7 +22,7 @@ __all__ = [
     "dot_pieces",
     "export_dot",
     "export_json",
-    "group_classes",
+    "from_adjacency",
     "json_pieces",
     "prime_order_set",
 ]
@@ -31,22 +30,24 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ThetaGraph:
-    """The graph of ``group``. Construction makes the given ``adj`` read-only
-    in place, without copying it, and derives read-only ``degrees`` from it.
+    """The graph of ``group``, the blow-up of ``quotient``, with read-only ``degrees``.
     Equality and hashing go by identity, as the per-graph ``facts`` do."""
 
     group: GroupSpec
-    adj: np.ndarray  # (n, n) bool, symmetric, zero diagonal
+    quotient: TwinQuotient
     degrees: np.ndarray = field(init=False)  # (n,) int64
     # facts computed from the graph, by name, once each (see properties._once_per_graph)
     facts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        degrees = self.adj.sum(axis=1).astype(np.int64)
-        object.__setattr__(self, "degrees", degrees)
-        # read-only, so a fact in ``facts`` cannot go stale
-        self.adj.setflags(write=False)
+        degrees = self.quotient.degrees[self.quotient.class_of]
         degrees.setflags(write=False)
+        object.__setattr__(self, "degrees", degrees)
+
+    @property
+    def adj(self) -> np.ndarray:
+        """(n, n) bool, read-only, symmetric, zero diagonal: the quotient's expansion."""
+        return self.quotient.expansion
 
     @property
     def n_vertices(self) -> int:
@@ -54,7 +55,7 @@ class ThetaGraph:
 
     @property
     def edge_count(self) -> int:
-        return int(self.degrees.sum()) // 2
+        return int(self.quotient.degrees @ self.quotient.sizes) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list with i < j, ascending."""
@@ -66,8 +67,21 @@ class ThetaGraph:
 
 
 def build_theta(g: GroupSpec) -> ThetaGraph:
-    """The graph of g; it holds g's read-only ``OrderClasses.expansion``, made once per group."""
-    return ThetaGraph(g, g.order_classes.expansion)
+    """The graph of g over its order classes, whose quotient is made once per group."""
+    return ThetaGraph(g, g.order_classes.quotient)
+
+
+def from_adjacency(group: GroupSpec, adj) -> ThetaGraph:
+    """A graph on the elements of ``group`` with the adjacency matrix ``adj``. Its
+    classes, numbered in the byte order of the packed rows, are the vertices with equal
+    rows: false twins, since the diagonal is zero. Raises ValueError unless adj is n x n
+    for the group, symmetric and zero on the diagonal."""
+    adj, n = np.asarray(adj, dtype=bool), group.size
+    if adj.shape != (n, n) or not np.array_equal(adj, adj.T) or adj.diagonal().any():
+        raise ValueError(f"not a symmetric {n} x {n} adjacency matrix with a zero diagonal")
+    _, first, class_of = np.unique(np.packbits(adj, axis=1), axis=0, return_index=True, return_inverse=True)
+    class_of = class_of.ravel()
+    return ThetaGraph(group, TwinQuotient(class_of, adj[np.ix_(first, first)], np.bincount(class_of)))
 
 
 def prime_order_set(t: ThetaGraph) -> frozenset[int]:
@@ -76,29 +90,20 @@ def prime_order_set(t: ThetaGraph) -> frozenset[int]:
     return frozenset(np.flatnonzero(oc.one_or_prime[oc.class_of]).tolist())
 
 
-def group_classes(t: ThetaGraph) -> OrderClasses:
-    """``t.group.order_classes``; raises ValueError unless ``t.adj`` is their expansion."""
-    oc = t.group.order_classes
-    # O(1) for a graph from build_theta, which holds the expansion itself
-    if t.adj is not oc.expansion and not np.array_equal(t.adj, oc.expansion):
-        raise ValueError("the graph is not the expansion of its group's order classes")
-    return oc
-
-
-def _edge_rows(oc: OrderClasses, heads: list[str], tails: list[str], sep: str) -> Iterator[str]:
+def _edge_rows(q: TwinQuotient, heads: list[str], tails: list[str], sep: str) -> Iterator[str]:
     """Yield one text per row i with edges: its edges i < j as ``heads[i] + tails[j]``,
     ascending, joined by ``sep``; rows ascending.
 
-    Equal-order elements are twins, so row i is its class's list of neighbour tails from
+    Vertices of one class are twins, so row i is its class's list of neighbour tails from
     just past i. The head goes into the separator: one C-level join per row, not per edge.
     """
     tail_of, lists, start = np.array(tails, dtype=object), [], np.empty(len(tails), dtype=np.int64)
-    for c in range(len(oc.orders)):
-        mine = np.flatnonzero(oc.class_of == c)  # no row of c starts before its first member
-        nbrs = np.flatnonzero(oc.adjacent[c][oc.class_of[mine[0] :]]) + mine[0]
+    for c in range(len(q.adjacent)):
+        mine = np.flatnonzero(q.class_of == c)  # no row of c starts before its first member
+        nbrs = np.flatnonzero(q.adjacent[c][q.class_of[mine[0] :]]) + mine[0]
         lists.append(tail_of[nbrs].tolist())
         start[mine] = np.searchsorted(nbrs, mine, side="right")
-    for head, c, s in zip(heads, oc.class_of.tolist(), start.tolist()):
+    for head, c, s in zip(heads, q.class_of.tolist(), start.tolist()):
         if s < len(lists[c]):
             yield head + (sep + head).join(lists[c][s:])
 
@@ -111,10 +116,9 @@ def _dot_id(label: str) -> str:
 def dot_pieces(t: ThetaGraph) -> Iterator[str]:
     """The DOT document of ``export_dot`` in pieces: the node lines, then
     one piece per vertex with edges to higher vertices, then the closing brace."""
-    oc = group_classes(t)
     ids = [_dot_id(label) for label in t.group.labels]
     yield "graph theta {\n" + "".join(f"  {v};\n" for v in ids)
-    yield from _edge_rows(oc, [f"  {v} -- " for v in ids], [f"{v};\n" for v in ids], "")
+    yield from _edge_rows(t.quotient, [f"  {v} -- " for v in ids], [f"{v};\n" for v in ids], "")
     yield "}\n"
 
 
@@ -126,7 +130,7 @@ def json_pieces(t: ThetaGraph) -> Iterator[str]:
     The text equals ``json.dumps(doc, indent=2) + "\\n"`` with ``edges`` a
     list of ``[i, j]`` pairs; only the small fields go through ``json``.
     """
-    oc, n = group_classes(t), t.n_vertices
+    n = t.n_vertices
     before = json.dumps(
         {
             "group": {
@@ -147,7 +151,7 @@ def json_pieces(t: ThetaGraph) -> Iterator[str]:
         indent=2,
     )
     rows = _edge_rows(
-        oc, [f"    [\n      {i},\n      " for i in range(n)], [f"{j}\n    ]" for j in range(n)], ",\n"
+        t.quotient, [f"    [\n      {i},\n      " for i in range(n)], [f"{j}\n    ]" for j in range(n)], ",\n"
     )
     # both dumps are "{\n" + top-level members + "\n}"; the edge rows go between them
     yield before[:-2] + ',\n  "edges": ['

@@ -9,8 +9,8 @@ defining presentations where an independent oracle is wanted.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 from math import gcd, isqrt, lcm
 
 import numpy as np
@@ -22,6 +22,7 @@ __all__ = [
     "GroupSpec",
     "MAX_ELEMENTS",
     "OrderClasses",
+    "TwinQuotient",
     "cyclic",
     "dicyclic",
     "dihedral",
@@ -38,10 +39,34 @@ __all__ = [
 FAMILIES = ("cyclic", "dihedral", "dicyclic", "elementary_abelian", "heisenberg", "product")
 # the graph is built over int64 orders, and primality is exact far beyond this
 MAX_ORDER = 2**63 - 1
-# every command holds the dense n x n adjacency, 16 MiB at 2**12 elements; only
-# verify and the tests build the 64-bit Q (128 MiB there); the export of a complete
-# graph (8.4 million edges, 300 MB of text) is streamed with about a 49 MB peak
+# the dense n x n adjacency, made only where it is read, is 16 MiB at 2**12 elements, and
+# the 64-bit Q of verify 128 MiB; a complete graph's export streams with about a 49 MB peak
 MAX_ELEMENTS = 2**12
+_GCD_BLOCK_ROWS = 256  # the k x k gcd table of the order classes is made in blocks of rows
+
+
+@dataclass(frozen=True, eq=False)
+class TwinQuotient:
+    """A graph as the blow-up of k classes of twins, in read-only arrays: distinct u and v are
+    joined iff ``adjacent[class_of[u], class_of[v]]``, so the diagonal marks the clique classes."""
+
+    class_of: np.ndarray  # (n,) int64: the class of each vertex
+    adjacent: np.ndarray  # (k, k) bool, symmetric
+    sizes: np.ndarray  # (k,) int64: the number of vertices in each class
+    degrees: np.ndarray = field(init=False)  # (k,) int64: the degree of each vertex of a class
+
+    def __post_init__(self):
+        object.__setattr__(self, "degrees", self.adjacent @ self.sizes - self.adjacent.diagonal())
+        for a in (self.class_of, self.adjacent, self.sizes, self.degrees):
+            a.setflags(write=False)
+
+    @cached_property
+    def expansion(self) -> np.ndarray:
+        """(n, n) bool, read-only: the adjacency matrix, made on first use."""
+        adj = self.adjacent[self.class_of][:, self.class_of]  # rows, then columns: faster than np.ix_
+        np.fill_diagonal(adj, False)
+        adj.setflags(write=False)
+        return adj
 
 
 @dataclass(frozen=True)
@@ -56,22 +81,22 @@ class OrderClasses:
     @cached_property
     def adjacent(self) -> np.ndarray:
         """(k, k) bool, read-only: whether an element of class i and a
-        distinct element of class j are joined, that is whether the gcd of
-        the two orders is 1 or a prime. Primality is tested once per
-        distinct gcd, on first use."""
-        k = len(self.orders)
-        gcds, gcd_of = np.unique(np.gcd.outer(self.orders, self.orders), return_inverse=True)
-        edge = np.array([is_one_or_prime(v) for v in gcds.tolist()])[gcd_of].reshape(k, k)
+        distinct element of class j are joined, that is whether the gcd of the
+        two orders is 1 or a prime. The gcd table is made in blocks of rows, so
+        its temporaries stay small; primality is tested once per distinct gcd."""
+        k, verdict = len(self.orders), cache(is_one_or_prime)
+        edge = np.empty((k, k), dtype=bool)
+        for r in range(0, k, _GCD_BLOCK_ROWS):
+            block = np.gcd.outer(self.orders[r : r + _GCD_BLOCK_ROWS], self.orders)
+            gcds, gcd_of = np.unique(block, return_inverse=True)
+            edge[r : r + _GCD_BLOCK_ROWS] = np.array([verdict(v) for v in gcds.tolist()])[gcd_of].reshape(-1, k)
         edge.setflags(write=False)
         return edge
 
     @cached_property
-    def expansion(self) -> np.ndarray:
-        """(n, n) bool, read-only: ``adjacent`` expanded to the elements, diagonal cleared."""
-        adj = self.adjacent[self.class_of][:, self.class_of]  # rows, then columns: faster than np.ix_
-        np.fill_diagonal(adj, False)
-        adj.setflags(write=False)
-        return adj
+    def quotient(self) -> TwinQuotient:
+        """The graph's twin quotient: elements of one order are twins."""
+        return TwinQuotient(self.class_of, self.adjacent, self.sizes)
 
 
 @dataclass(frozen=True)

@@ -86,19 +86,6 @@ def _once_per_graph(fn):
 # ---------------------------------------------------------------------------
 
 
-def _reached(t: ThetaGraph, src: int, keep: np.ndarray) -> np.ndarray:
-    """The vertices reachable from src inside the boolean mask keep, as a
-    mask, one numpy step per BFS level: the next frontier is every kept,
-    unreached neighbour of the current one."""
-    reached = np.zeros(t.n_vertices, dtype=bool)
-    reached[src] = True
-    frontier = reached.copy()
-    while frontier.any():
-        frontier = t.adj[frontier].any(axis=0) & keep & ~reached
-        reached |= frontier
-    return reached
-
-
 def _universal(t: ThetaGraph) -> np.ndarray:
     """The universal vertices (degree n - 1). In Θ(G) the identity is one,
     as gcd(1, m) = 1; a graph with none contradicts the group side."""
@@ -136,20 +123,26 @@ def girth(t: ThetaGraph):
 
 
 def components_after_removal(t: ThetaGraph, removed) -> int:
-    """Connected components of the subgraph induced on V minus removed."""
-    n = t.n_vertices
+    """Connected components of the subgraph induced on V minus removed,
+    counted over the twin classes: one per connected set of the classes left,
+    plus r - 1 more for an independent class left with r vertices and no
+    neighbouring class left, as its vertices fall apart."""
+    n, q = t.n_vertices, t.quotient
     removed = np.fromiter(removed, dtype=np.int64)
     bad = removed[(removed < 0) | (removed >= n)]
     if bad.size:
         raise IndexError(f"vertex index out of range: {bad[0]}")
-    unseen = np.ones(n, dtype=bool)
-    unseen[removed] = False
-    isolated = unseen & ~t.adj[:, unseen].any(axis=1)  # components of one vertex
-    count = int(isolated.sum())
-    unseen &= ~isolated
+    left = q.sizes - np.bincount(q.class_of[np.unique(removed)], minlength=len(q.sizes))
+    unseen = left > 0
+    joined = q.adjacent & unseen & unseen[:, None] & ~np.eye(len(left), dtype=bool)
+    count = int((left - 1)[unseen & ~joined.any(axis=1) & ~q.adjacent.diagonal()].sum())
     while unseen.any():
         count += 1
-        unseen &= ~_reached(t, int(np.argmax(unseen)), unseen)
+        reached = frontier = np.arange(len(left)) == np.argmax(unseen)
+        while frontier.any():  # one numpy step per BFS level over the classes
+            frontier = joined[frontier].any(axis=0) & ~reached
+            reached = reached | frontier
+        unseen &= ~reached
     return count
 
 
@@ -464,20 +457,6 @@ def _min_cut(arcs: list[dict[int, int]], s: int, sink: int) -> tuple[int, set[in
         flow += bottleneck
 
 
-def _false_twin_classes(t: ThetaGraph, keep: np.ndarray) -> list[np.ndarray]:
-    """The kept vertices grouped by equal rows of adj, each class an ascending
-    index array, the classes in the byte order of their packed rows.
-
-    Vertices with equal rows are false twins: equal open neighbourhoods and
-    pairwise non-adjacent, since an edge between two equal rows would put a
-    one on the diagonal."""
-    kept = np.flatnonzero(keep)
-    classes: dict[bytes, list[int]] = {}
-    for v, row in zip(kept.tolist(), np.packbits(t.adj[kept], axis=1)):
-        classes.setdefault(row.tobytes(), []).append(v)
-    return [np.array(classes[key]) for key in sorted(classes)]
-
-
 @_once_per_graph
 def vertex_connectivity(t: ThetaGraph) -> ConnectivityResult:
     """kappa(G) = |U| + kappa(H), with U the universal vertices and H = G - U.
@@ -486,38 +465,35 @@ def vertex_connectivity(t: ThetaGraph) -> ConnectivityResult:
     non-complete graph a set separates G iff it holds U and the rest of it
     separates H. When H is disconnected (also when G is, as U is then empty)
     U alone is a minimum cut and no flow runs. Otherwise kappa(H) is taken
-    on H's false-twin classes, which a minimum separator never splits: each
-    of its vertices is adjacent to every component left, but a vertex whose
-    twin lies outside it reaches only that twin's component. So kappa(G) is
-    the smaller of
+    on H's twin classes, read off the quotient, which a minimum separator
+    never splits: each of its vertices has neighbours in two components
+    left, and a twin left outside it would have them too and join the two.
+    So kappa(G) is the smaller of
 
-    - the degree of a false-twin class C of size >= 2, whose neighbourhood
-      N(C), U included, cuts the members of C apart; and
+    - the degree of an independent class C of size >= 2, whose
+      neighbourhood N(C), U included, cuts the members of C apart; and
     - |U| plus a class-weighted max-flow over the standard reduced pair set
       (Esfahanian-Hakimi), taken on H's classes: a minimum-degree class
       against each class not adjacent to it, plus each non-adjacent pair of
       its neighbour classes.
 
-    True twins stay singletons, which costs time but not exactness, and in
-    Θ(G) of a group H has none: x of composite order m has another element
-    x' of order m, not adjacent to x, yet adjacent to each neighbour of x.
-    The cut is re-validated on the full graph. U, completeness and the
+    The members of a clique class are adjacent, so no pair of them needs a
+    cut. The cut is re-validated on the full graph. U, completeness and the
     classes are read off the graph, so this stays a pure graph computation
     even on order lists that are not groups."""
-    n = t.n_vertices
+    n, q = t.n_vertices, t.quotient
     if _complete_graph_side(t):
         return ConnectivityResult(n - 1, None, "complete_rule")
     universal = np.flatnonzero(t.degrees == n - 1)
     if components_after_removal(t, universal) >= 2:
         return ConnectivityResult(len(universal), frozenset(universal.tolist()), "max_flow")
-    classes = _false_twin_classes(t, t.degrees < n - 1)
-    reps = [int(c[0]) for c in classes]
-    q_adj = t.adj[np.ix_(reps, reps)]
+    classes = np.flatnonzero(q.degrees < n - 1)  # H's classes, ascending
+    q_adj = q.adjacent[np.ix_(classes, classes)]
     best, best_cut = n, frozenset()  # every candidate below is smaller than n
-    for c, rep in zip(classes, reps):
-        if len(c) > 1 and t.degrees[rep] < best:
-            best, best_cut = int(t.degrees[rep]), frozenset(t.neighbors(rep).tolist())
-    s = int(np.argmin(t.degrees[reps]))
+    for c in classes.tolist():
+        if q.sizes[c] > 1 and not q.adjacent[c, c] and q.degrees[c] < best:
+            best, best_cut = int(q.degrees[c]), frozenset(np.flatnonzero(q.adjacent[c][q.class_of]).tolist())
+    s = int(np.argmin(q.degrees[classes]))
     # the vertex-split digraph of the classes: x_in = 2x, x_out = 2x+1. The split
     # arc of class x carries its size; connection arcs carry n + 1, so a minimum
     # cut consists of split arcs only and its value is the size of the classes it removes
@@ -526,8 +502,8 @@ def vertex_connectivity(t: ThetaGraph) -> ConnectivityResult:
     def add(u: int, v: int, c: int) -> None:
         arcs[u][v], arcs[v][u] = c, 0
 
-    for x, c in enumerate(classes):
-        add(2 * x, 2 * x + 1, len(c))
+    for x, size in enumerate(q.sizes[classes].tolist()):
+        add(2 * x, 2 * x + 1, size)
     for a, b in zip(*(ij.tolist() for ij in np.nonzero(np.triu(q_adj, k=1)))):
         add(2 * a + 1, 2 * b, n + 1)
         add(2 * b + 1, 2 * a, n + 1)
@@ -538,8 +514,8 @@ def vertex_connectivity(t: ThetaGraph) -> ConnectivityResult:
         value, reached = _min_cut(arcs, 2 * a + 1, 2 * b)
         if len(universal) + value < best:
             best = len(universal) + value
-            removed = [c for x, c in enumerate(classes) if 2 * x in reached and 2 * x + 1 not in reached]
-            best_cut = frozenset(np.concatenate([universal, *removed]).tolist())
+            split = [c for x, c in enumerate(classes.tolist()) if 2 * x in reached and 2 * x + 1 not in reached]
+            best_cut = frozenset(np.concatenate([universal, np.flatnonzero(np.isin(q.class_of, split))]).tolist())
     if best > int(t.degrees.min()):
         raise CrossCheckError("kappa exceeds the minimum degree")
     if len(best_cut) != best or components_after_removal(t, best_cut) < 2:

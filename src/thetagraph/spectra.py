@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import ThetaGraph, group_classes
+from .graph import ThetaGraph
 from .numtheory import factorize, squarefree_split
 
 __all__ = [
@@ -210,28 +210,23 @@ def eig_sym(m: np.ndarray) -> SpectrumResult:
 
 
 def order_class_spectrum(t: ThetaGraph) -> SpectrumResult:
-    """The numeric spectrum of Q read off the order classes of ``t.group``.
+    """The numeric spectrum of Q read off the twin quotient of ``t``, which
+    for a group's graph is its order classes.
 
-    Equal-order elements are twins: for u, v in one class of degree d,
-    Q(e_u - e_v) = (d - [u ~ v])(e_u - e_v), and u ~ v exactly when the
-    class order is 1 or a prime. So Spec(Q) is the spectrum of the k x k
-    class quotient q_ij = |C_j| [gcd(o_i, o_j) is 1 or prime] - [i = j and
-    o_i is 1 or prime], plus its row sum d_i on the diagonal, and, for each
-    class, d_i - [o_i is 1 or prime] with multiplicity |C_i| - 1. The
-    quotient is symmetrised as in ``quotient_spectrum``, and values are
-    grouped by the rule of ``eig_sym`` with the same scale, 2 * max degree.
-
-    Raises ValueError (``graph.group_classes``) on a graph that is not its group's.
+    For u, v in one class of degree d, Q(e_u - e_v) = (d - [u ~ v])(e_u - e_v),
+    and u ~ v exactly when the class is a clique. So Spec(Q) is the spectrum
+    of the k x k class quotient q_ij = |C_j| [i ~ j] - [i = j and C_i is a
+    clique], plus its row sum d_i on the diagonal, and, for each class,
+    d_i - [C_i is a clique] with multiplicity |C_i| - 1. The quotient is
+    symmetrised as in ``quotient_spectrum``, and values are grouped by the
+    rule of ``eig_sym`` with the same scale, 2 * max degree.
     """
-    oc = group_classes(t)
-    counts = oc.adjacent * oc.sizes - np.diag(oc.one_or_prime).astype(np.int64)
-    degrees = counts.sum(axis=1)
-    q = counts + np.diag(degrees)
-    values = np.linalg.eigvalsh(np.sqrt(q * q.T)).tolist()
-    twins = [
-        (d, c - 1) for d, c in zip((degrees - oc.one_or_prime).tolist(), oc.sizes.tolist()) if c > 1
-    ]
-    return _numeric_spectrum([(v, 1) for v in values] + twins, 2 * float(degrees.max()))
+    q = t.quotient
+    twin = q.degrees - q.adjacent.diagonal()  # d_i - [C_i is a clique]
+    counts = q.adjacent * q.sizes + np.diag(twin)
+    values = np.linalg.eigvalsh(np.sqrt(counts * counts.T)).tolist()
+    twins = [(d, c - 1) for d, c in zip(twin.tolist(), q.sizes.tolist()) if c > 1]
+    return _numeric_spectrum([(v, 1) for v in values] + twins, 2 * float(q.degrees.max()))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import groups, properties as props, spectra
-from .graph import ThetaGraph, build_theta, prime_order_set
+from .graph import ThetaGraph, build_theta, from_adjacency, prime_order_set
 from .numtheory import factorize, is_prime
 from .spectra import SPECTRUM_MATCH_TOL
 
@@ -67,7 +67,7 @@ def corrupting_builder(g: groups.GroupSpec) -> ThetaGraph:
     adj = t.adj.copy()
     i, j = t.group.identity_index, (t.group.identity_index + 1) % n
     adj[i, j] = adj[j, i] = not adj[i, j]
-    return ThetaGraph(t.group, adj)
+    return from_adjacency(t.group, adj)
 
 
 def _check(title: str, visits: Callable[[], list[Key]]):

@@ -17,7 +17,16 @@ import thetagraph.cli
 import thetagraph.spectra
 from thetagraph import FAMILIES, build_theta, cyclic, export_dot, export_json, validate_cycle
 from thetagraph.cli import SEARCH_CSV_HEADER, _emit, main, parse_selector
-from thetagraph.properties import CrossCheckError, components_after_removal
+from thetagraph.groups import TwinQuotient, enumerate_groups, group_keys
+from thetagraph.numtheory import is_prime
+from thetagraph.properties import (
+    CrossCheckError,
+    components_after_removal,
+    is_complete,
+    open_problem_classify,
+    vertex_connectivity,
+)
+from thetagraph.spectra import order_class_spectrum
 
 
 def run_cli(capsys, *argv):
@@ -316,15 +325,68 @@ def test_debug_export_streams_like_the_plain_one():
     ids=["export-json", "export-dot", "search", "verify"],
 )
 def test_output_into_a_pipe_closed_early_exits_0_quietly(argv, head):
-    proc = subprocess.Popen(
+    # leaving the block closes both pipes and waits, so no pipe is left to the collector
+    with subprocess.Popen(
         [sys.executable, "-m", "thetagraph.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
-    )
-    assert len(proc.stdout.read(head)) == head
-    proc.stdout.close()  # as ``| head -c N`` does, long before the whole output is written
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 0
+    ) as proc:
+        assert len(proc.stdout.read(head)) == head
+        proc.stdout.close()  # as ``| head -c N`` does, long before the whole output is written
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+def _semiprime_list(path, count):
+    """Write a custom group file: the identity and the ``count`` smallest products
+    p * q of primes p < q, each its own order class."""
+    limit = 8 * count
+    products = sorted(p * q for p in range(2, limit) if p * p < limit and is_prime(p)
+                      for q in range(p + 1, limit // p + 1) if is_prime(q))
+    assert len(products) >= count
+    orders = [1] + products[:count]
+    path.write_text(json.dumps({"labels": [str(k) for k in range(len(orders))], "orders": orders}))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc/self/status")
+def test_export_of_4096_order_classes_builds_their_adjacency_in_bounded_memory(tmp_path):
+    # k = 4096: the whole k x k gcd table and its np.unique temporaries took 816 MB;
+    # made in blocks of rows, the export peaks near 130 MB
+    path = tmp_path / "semiprimes.json"
+    _semiprime_list(path, 4095)
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_SCRIPT, "export", "--format", "dot", "--custom", str(path),
+         "--out", os.devnull],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=_child_env(), check=True,
+    )
+    code, peak_kib = proc.stderr.split()
+    assert code == "0"
+    assert int(peak_kib) < 256 * 1024
+
+
+def test_spectrum_export_and_search_never_build_the_dense_adjacency(tmp_path, capsys, monkeypatch):
+    def refuse(q):
+        raise AssertionError("the dense adjacency was built")
+
+    def selector(family, args):
+        if family == "product":  # of two cyclic groups
+            return ["--product", *(f"cyclic:{n}" for n in args)]
+        return ["--elem-abelian" if family == "elementary_abelian" else f"--{family}", *map(str, args)]
+
+    monkeypatch.setattr(TwinQuotient, "expansion", property(refuse))
+    selectors = [selector(family, args) for _, family, _, _, args in group_keys(64, FAMILIES)]
+    # the groups of the export benchmark
+    selectors += [["--heisenberg", "11"], ["--product", "cyclic:30", "cyclic:35"]]
+    assert len(selectors) == 201
+    out = str(tmp_path / "out")
+    for selector in selectors:
+        for argv in (["spectrum"], ["export", "--format", "json"], ["export", "--format", "dot"]):
+            assert main([*argv, *selector, "--out", out]) == 0, (argv, selector)
+    assert main(["search", "--max-order", "200", "--out", str(tmp_path / "search.csv")]) == 0
+    capsys.readouterr()
+    for *_, g in enumerate_groups(200, FAMILIES):
+        t = build_theta(g)
+        is_complete(t), vertex_connectivity(t), open_problem_classify(t), order_class_spectrum(t)
 
 
 @pytest.mark.parametrize(

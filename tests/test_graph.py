@@ -9,12 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 import thetagraph.groups
 from thetagraph.graph import (
-    ThetaGraph,
     build_theta,
-    dot_pieces,
     export_dot,
     export_json,
-    json_pieces,
+    from_adjacency,
     prime_order_set,
 )
 from thetagraph.groups import (
@@ -200,25 +198,22 @@ def test_exports_match_per_edge_reference_on_any_order_list(orders):
     _assert_exports_match_reference(build_theta(from_orders(labels, [1] + orders)))
 
 
-def _assert_exports_refuse(t):
-    """Every exporter raises before its first piece, so a refused graph writes nothing."""
-    for export in (export_json, export_dot, lambda t: next(json_pieces(t)), lambda t: next(dot_pieces(t))):
-        with pytest.raises(ValueError, match="not the expansion"):
-            export(t)
-
-
-def test_exports_refuse_a_corrupted_graph_on_every_group_to_32():
+def test_exports_match_per_edge_reference_on_a_corrupted_graph_of_every_group_to_32():
+    # one flipped bit splits the classes it touches: the rows are read off the graph's own classes
     for order, *_, g in enumerate_groups(32, FAMILIES):
         if order >= 2:  # corrupting_builder leaves the one-vertex graph as it is
-            _assert_exports_refuse(corrupting_builder(g))
+            _assert_exports_match_reference(corrupting_builder(g))
 
 
-def test_exports_refuse_a_graph_that_is_not_its_groups():
+def test_exports_match_per_edge_reference_on_a_graph_that_is_not_its_groups():
     t = build_theta(cyclic(6))
     adj = t.adj.copy()
     adj[1, 5] = adj[5, 1] = True  # the two elements of order 6 are not adjacent in Θ(Z_6)
-    _assert_exports_refuse(ThetaGraph(t.group, adj))
-    _assert_exports_refuse(ThetaGraph(t.group, adj[:5, :5]))
+    u = from_adjacency(t.group, adj)
+    _assert_exports_match_reference(u)
+    assert "[\n      1,\n      5\n    ]" in export_json(u) and '"1" -- "5"' in export_dot(u)
+    with pytest.raises(ValueError, match="symmetric 6 x 6"):
+        from_adjacency(t.group, adj[:5, :5])
 
 
 def test_export_without_edges_keeps_empty_edge_list():
@@ -307,15 +302,41 @@ def test_graphs_compare_and_hash_by_identity():
 def test_graphs_of_one_group_share_its_expansion_made_once():
     g = dihedral(6)
     t, u = build_theta(g), build_theta(g)
-    oc = g.order_classes
-    assert t.adj is u.adj is oc.expansion and not oc.expansion.flags.writeable
+    q = g.order_classes.quotient
+    assert t.quotient is u.quotient is q
+    assert t.adj is u.adj is q.expansion and not q.expansion.flags.writeable
     rule = [
         [i != j and is_one_or_prime(math.gcd(a, b)) for j, b in enumerate(g.orders)]
         for i, a in enumerate(g.orders)
     ]
-    assert oc.expansion.tolist() == rule
+    assert q.expansion.tolist() == rule
     corrupted = corrupting_builder(g)  # flips a bit in a copy, not in the group's matrix
-    assert corrupted.adj.tolist() != rule and oc.expansion.tolist() == rule
+    assert corrupted.adj.tolist() != rule and q.expansion.tolist() == rule
+
+
+@pytest.mark.parametrize("build", [build_theta, corrupting_builder], ids=lambda b: b.__name__)
+def test_from_adjacency_round_trips_adj_and_degrees(build):
+    groups = [g for *_, g in enumerate_groups(64, FAMILIES)]
+    assert len(groups) == 199
+    for g in groups:
+        t = build(g)
+        u = from_adjacency(g, t.adj)
+        assert np.array_equal(u.adj, t.adj) and np.array_equal(u.degrees, t.degrees), g.describe()
+        assert u.edge_count == t.edge_count and u.degrees.dtype == np.int64, g.describe()
+        assert not u.quotient.adjacent.diagonal().any(), g.describe()  # false twins only
+
+
+def test_from_adjacency_refuses_a_matrix_that_is_not_an_adjacency_of_the_group():
+    g = cyclic(6)
+    adj = build_theta(g).adj
+    asymmetric = adj.copy()
+    asymmetric[1, 5] = True
+    looped = adj.copy()
+    looped[2, 2] = True
+    for wrong in (adj[:5, :5], np.zeros((6, 7), dtype=bool), np.zeros(36, dtype=bool), asymmetric, looped):
+        with pytest.raises(ValueError, match="symmetric 6 x 6 adjacency matrix with a zero diagonal"):
+            from_adjacency(g, wrong)
+    assert from_adjacency(g, adj.astype(np.int64)).edge_count == 14  # any dtype, read as bool
 
 
 def test_primality_is_decided_per_distinct_gcd(monkeypatch):
@@ -331,6 +352,15 @@ def test_primality_is_decided_per_distinct_gcd(monkeypatch):
     t = build_theta(from_orders(["e", "a", "b"], [1, 10**6, 10**6]))
     assert len(calls) <= 2 * 2
     assert t.edges() == [(0, 1), (0, 2)]
+
+
+def test_class_adjacency_is_the_gcd_rule_across_row_blocks():
+    # 300 order classes: the k x k gcd table is made in two blocks of rows
+    primes = [p for p in range(2, 200) if is_prime(p)]
+    orders = [1] + sorted(p * q for p in primes for q in primes if p < q)[:299]
+    oc = from_orders([f"g{k}" for k in range(300)], orders).order_classes
+    assert len(oc.orders) == 300
+    assert oc.adjacent.tolist() == [[is_one_or_prime(math.gcd(a, b)) for b in orders] for a in orders]
 
 
 def _sample_graphs():

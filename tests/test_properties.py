@@ -12,7 +12,7 @@ import thetagraph.graph
 import thetagraph.properties
 from thetagraph import groups
 from thetagraph.analysis import analyze_group
-from thetagraph.graph import ThetaGraph, build_theta, prime_order_set
+from thetagraph.graph import ThetaGraph, build_theta, from_adjacency, prime_order_set
 from thetagraph.groups import (
     cyclic,
     dicyclic,
@@ -24,7 +24,6 @@ from thetagraph.groups import (
 )
 from thetagraph.properties import (
     CrossCheckError,
-    _false_twin_classes,
     _hamiltonian_search,
     _min_cut,
     _planar_graph_side,
@@ -74,7 +73,11 @@ def test_connected_and_diameter(n, expected):
 
 
 def test_is_connected_reads_the_universal_identity_without_bfs(monkeypatch):
-    monkeypatch.setattr(thetagraph.properties, "_reached", lambda *a: pytest.fail("BFS ran"))
+    def fail(*args):
+        pytest.fail("a search ran")
+
+    monkeypatch.setattr(thetagraph.properties, "components_after_removal", fail)
+    monkeypatch.setattr(groups.TwinQuotient, "expansion", property(fail))
     small = [build(*args) for _, _, _, build, args in groups.group_keys(64, groups.FAMILIES)]
     for g in (cyclic(1), cyclic(2), *small):
         assert is_connected(build_theta(g)), g.describe()
@@ -125,7 +128,7 @@ def _theta_from_nx(h):
     n = h.number_of_nodes()
     adj = nx.to_numpy_array(h, nodelist=range(n), dtype=bool)
     g = from_orders([f"v{k}" for k in range(n)], [1] + [2] * (n - 1))
-    return ThetaGraph(g, adj)
+    return from_adjacency(g, adj)
 
 
 @pytest.mark.parametrize(
@@ -187,10 +190,11 @@ def test_girth_of_a_large_star_is_settled_before_any_search(monkeypatch, identit
     orders[identity] = 1
     t = build_theta(from_orders([str(k) for k in range(4096)], orders))
     calls = []
-    bfs = thetagraph.properties._reached
+    count = thetagraph.properties.components_after_removal
     monkeypatch.setattr(
-        thetagraph.properties, "_reached", lambda *a, **kw: calls.append(a) or bfs(*a, **kw)
+        thetagraph.properties, "components_after_removal", lambda *a: calls.append(a) or count(*a)
     )
+    monkeypatch.setattr(groups.TwinQuotient, "expansion", property(lambda q: calls.append(q)))
     assert girth(t) == math.inf
     assert calls == []  # the edge count alone settles it
 
@@ -264,7 +268,7 @@ def test_group_side_criteria_test_primality_once_per_distinct_order(monkeypatch,
     g = from_orders([f"g{k}" for k in range(len(orders))], orders)
     built = build_theta(g)
     # a fresh spec, so that its order classes are derived while counting
-    t = ThetaGraph(dataclasses.replace(g), built.adj)
+    t = ThetaGraph(dataclasses.replace(g), built.quotient)
     calls = _count_primality_calls(monkeypatch)
     is_complete(t)
     prime_order_set(t)
@@ -500,7 +504,7 @@ def _ore_holds(t):
 def _random_graph(n, p, seed):
     """A seeded G(n, p) over a placeholder group of n elements."""
     upper = np.triu(np.random.default_rng(seed).random((n, n)) < p, k=1)
-    return ThetaGraph(from_orders([f"v{k}" for k in range(n)], [1] + [2] * (n - 1)), upper | upper.T)
+    return from_adjacency(from_orders([f"v{k}" for k in range(n)], [1] + [2] * (n - 1)), upper | upper.T)
 
 
 @pytest.fixture
@@ -599,6 +603,25 @@ def test_components_after_removal_matches_networkx_on_random_graphs():
             expected = nx.number_connected_components(g.subgraph(set(range(n)) - removed))
             assert components_after_removal(t, removed) == expected, (k, sorted(removed))
     assert disconnected > 50
+
+
+def test_components_after_removal_matches_networkx_on_built_graphs_with_split_classes():
+    # clique classes (orders 1 and primes) and independent ones (composite orders), built
+    # and corrupted, with removed sets that cut through classes and repeat indices
+    rng = np.random.default_rng(23)
+    split = 0
+    for g in (cyclic(30), dihedral(12), dicyclic(15), direct_product(cyclic(6), cyclic(10)),
+              elementary_abelian(2, 3), heisenberg(3), from_orders(["e", "a", "b", "c"], [1, 4, 4, 4])):
+        for t in (build_theta(g), corrupting_builder(g)):
+            h, n, q = _nx_graph(t), t.n_vertices, t.quotient
+            cuts = [sorted(prime_order_set(t))[1:], [0, 0, 1, 1]]
+            cuts += [rng.choice(n, int(rng.integers(1, n + 1)), replace=True).tolist() for _ in range(30)]
+            for removed in cuts:
+                left = set(range(n)) - set(removed)
+                expected = nx.number_connected_components(h.subgraph(left))
+                assert components_after_removal(t, removed) == expected, (g.describe(), removed)
+                split += len(set(q.class_of[list(left)].tolist()) & set(q.class_of[removed].tolist())) > 0
+    assert split > 200
 
 
 @pytest.mark.parametrize("removed", [{6}, {-1}, [0, 7]])
@@ -700,35 +723,64 @@ def test_vertex_connectivity_of_universal_vertices_joined_to_random_graphs():
     assert min(seen.values()) > 20, seen
 
 
+def test_vertex_connectivity_and_components_on_random_twin_quotients():
+    # classes of every kind, clique classes outside U included, which neither build_theta
+    # (a clique class has order 1 or a prime, so it is universal) nor from_adjacency makes
+    rng = np.random.default_rng(31)
+    seen = {"clique_in_h": 0, "flow": 0}
+    for _ in range(300):
+        k = int(rng.integers(1, 7))
+        upper = np.triu(rng.random((k, k)) < rng.uniform(0.2, 0.9), k=1)
+        adjacent = upper | upper.T | np.diag(rng.random(k) < 0.5)
+        class_of = rng.permutation(np.repeat(np.arange(k), rng.integers(1, 4, size=k)))
+        n = len(class_of)
+        q = groups.TwinQuotient(class_of, adjacent, np.bincount(class_of, minlength=k))
+        t = ThetaGraph(from_orders([f"v{v}" for v in range(n)], [1] + [2] * (n - 1)), q)
+        g = _nx_graph(t)
+        conn = vertex_connectivity(t)
+        assert conn.kappa == nx.node_connectivity(g), (class_of, adjacent)
+        universal = set(np.flatnonzero(t.degrees == n - 1).tolist())
+        seen["flow"] += conn.method == "max_flow" and conn.witness_cut != universal
+        seen["clique_in_h"] += bool((adjacent.diagonal() & (q.sizes > 1) & (q.degrees < n - 1)).any())
+        removed = rng.choice(n, int(rng.integers(0, n + 1))).tolist()
+        expected = nx.number_connected_components(g.subgraph(set(range(n)) - set(removed)))
+        assert components_after_removal(t, removed) == expected, (class_of, adjacent, removed)
+    assert min(seen.values()) > 30, seen
+
+
+def _classes(q):
+    """The vertices of each class of the quotient q, in class order."""
+    return [np.flatnonzero(q.class_of == c) for c in range(len(q.sizes))]
+
+
 def test_twin_classes_partition_into_twins():
+    # the classes that from_adjacency reads off equal rows
     t = build_theta(dihedral(60))
     s = prime_order_set(t)
-    classes = [frozenset(c.tolist()) for c in _false_twin_classes(t, t.degrees < t.n_vertices - 1)]
-    assert len(classes) == 8  # the composite orders 4, 6, 10, 12, 15, 20, 30 and 60
-    assert set().union(*classes) == set(range(t.n_vertices)) - s
+    classes = [frozenset(c.tolist()) for c in _classes(from_adjacency(t.group, t.adj).quotient)]
+    h_classes = [c for c in classes if not c <= s]  # each universal vertex has a row of its own
+    assert len(h_classes) == 8  # the composite orders 4, 6, 10, 12, 15, 20, 30 and 60
+    assert set().union(*h_classes) == set(range(t.n_vertices)) - s
     for t in (t, corrupting_builder(dihedral(60)), build_theta(cyclic(30))):
-        keep = t.degrees < t.n_vertices - 1
-        classes = _false_twin_classes(t, keep)
-        assert sorted(np.concatenate(classes).tolist()) == np.flatnonzero(keep).tolist()
+        q = from_adjacency(t.group, t.adj).quotient
+        classes = _classes(q)
+        assert sorted(np.concatenate(classes).tolist()) == list(range(t.n_vertices))
+        assert q.sizes.tolist() == [len(c) for c in classes] and not q.adjacent.diagonal().any()
         for c in classes:
             assert (t.adj[c] == t.adj[c[0]]).all() and not t.adj[np.ix_(c, c)].any()
 
 
 def test_twin_classes_match_a_row_sort_on_all_groups_to_order_200():
-    def reference(t, keep):  # H's rows grouped by a np.unique row sort
-        kept = np.flatnonzero(keep)
-        _, inverse = np.unique(np.packbits(t.adj[kept], axis=1), axis=0, return_inverse=True)
-        class_of = inverse.ravel()
-        order = np.argsort(class_of, kind="stable")
-        return np.split(kept[order], np.flatnonzero(np.diff(class_of[order])) + 1)
+    def reference(adj):  # the rows grouped by their packed bytes, the groups in byte order
+        classes: dict[bytes, list[int]] = {}
+        for v, row in enumerate(np.packbits(adj, axis=1)):
+            classes.setdefault(row.tobytes(), []).append(v)
+        return [classes[key] for key in sorted(classes)]
 
     for _, _, _, g in groups.enumerate_groups(200, groups.FAMILIES):
         for t in (build_theta(g), corrupting_builder(g)):
-            keep = t.degrees < t.n_vertices - 1
-            if not keep.any():
-                continue
-            got, want = _false_twin_classes(t, keep), reference(t, keep)
-            assert [c.tolist() for c in got] == [c.tolist() for c in want], t.group.describe()
+            got = _classes(from_adjacency(t.group, t.adj).quotient)
+            assert [c.tolist() for c in got] == reference(t.adj), t.group.describe()
 
 
 def test_min_cut_on_a_small_network():
@@ -799,24 +851,21 @@ def test_cross_check_error_on_corrupted_graph():
 
 
 def test_analyze_computes_twin_classes_and_connectivity_once(monkeypatch):
-    # H = Θ(G) - S(G) is disconnected for dihedral(60), so no partition is built;
-    # connectedness is read off the universal vertices, so no search spans the whole graph
-    twin, bfs = thetagraph.properties._false_twin_classes, thetagraph.properties._reached
-
-    def counting_bfs(t, src, keep):
-        if keep.all():  # whole-graph BFS; the component counts of a cut keep a strict subset
-            connectivity_bfs.append(src)
-        return bfs(t, src, keep)
-
-    monkeypatch.setattr(
-        thetagraph.properties, "_false_twin_classes", lambda t, keep: twin_calls.append(t) or twin(t, keep)
-    )
-    monkeypatch.setattr(thetagraph.properties, "_reached", counting_bfs)
-    for g, partitions in ((dihedral(60), 0), (dicyclic(15), 1)):
-        twin_calls, connectivity_bfs = [], []
-        analyze_group(g, timestamp=False)
-        assert len(twin_calls) == partitions, g.describe()
-        assert connectivity_bfs == [], g.describe()
+    # the twin classes are the group's quotient, made once per group; H = Θ(G) - S(G) is
+    # disconnected for dihedral(60), so no flow runs, and kappa's flows run once per report
+    made, flows = [], []
+    quotient, min_cut = groups.TwinQuotient, thetagraph.properties._min_cut
+    monkeypatch.setattr(groups, "TwinQuotient", lambda *a: made.append(a) or quotient(*a))
+    monkeypatch.setattr(thetagraph.properties, "_min_cut", lambda *a: flows.append(a) or min_cut(*a))
+    for ctor, n in ((dihedral, 60), (dicyclic, 15)):
+        vertex_connectivity(build_theta(ctor(n)))  # on a spec of its own
+        alone = len(flows)
+        made.clear()
+        flows.clear()
+        analyze_group(ctor(n), timestamp=False)
+        assert len(made) == 1 and len(flows) == alone, ctor(n).describe()
+        assert (alone == 0) == (ctor is dihedral), ctor(n).describe()
+        flows.clear()
 
 
 def test_analyze_checks_each_certificate_once(monkeypatch):

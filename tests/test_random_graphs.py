@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thetagraph.properties
-from thetagraph.graph import ThetaGraph, build_theta
+from thetagraph.graph import build_theta, from_adjacency
 from thetagraph.groups import FAMILIES, enumerate_groups, from_orders, order_profile
 from thetagraph.numtheory import is_one_or_prime
 from thetagraph.properties import (
@@ -196,7 +196,7 @@ def test_ore_route_and_rotation_match_brute_force_on_random_graphs(monkeypatch):
     for _ in range(400):
         n = int(rng.integers(3, 40))
         upper = np.triu(rng.random((n, n)) < rng.uniform(0.4, 1.0), k=1)
-        t = ThetaGraph(from_orders([f"v{k}" for k in range(n)], [1] + [2] * (n - 1)), upper | upper.T)
+        t = from_adjacency(from_orders([f"v{k}" for k in range(n)], [1] + [2] * (n - 1)), upper | upper.T)
         scans.clear()
         _assert_ore_route_matches_oracle(t)
         if _ore_holds_brute_force(t):

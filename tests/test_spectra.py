@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thetagraph.graph import ThetaGraph, build_theta, prime_order_set
+from thetagraph.graph import build_theta, from_adjacency, prime_order_set
 from thetagraph.groups import (
     FAMILIES,
     cyclic,
@@ -397,16 +397,14 @@ def _assert_matches_the_dense_oracle(t):
 
 def test_order_class_spectrum_matches_the_dense_oracle_on_every_group_to_order_200():
     """Identical multiplicities and values within TOL on all 719 groups of
-    order <= 200; one flipped bit is refused: under ``corrupting_builder``
-    every group of order >= 3 raises."""
+    order <= 200, built and with one flipped bit (``corrupting_builder``),
+    whose twin classes are no longer the order classes."""
     keys = group_keys(200, FAMILIES)
     assert len(keys) == 719
     for order, _family, _params, build, args in keys:
         g = build(*args)
         _assert_matches_the_dense_oracle(build_theta(g))
-        if order >= 3:
-            with pytest.raises(ValueError, match="not the expansion"):
-                order_class_spectrum(corrupting_builder(g))
+        _assert_matches_the_dense_oracle(corrupting_builder(g))
 
 
 @pytest.mark.parametrize(
@@ -428,14 +426,15 @@ def test_order_class_spectrum_matches_the_dense_oracle_on_small_and_custom_group
     _assert_matches_the_dense_oracle(build_theta(g))
 
 
-def test_order_class_spectrum_refuses_a_graph_that_is_not_its_groups():
+def test_order_class_spectrum_matches_the_dense_oracle_on_a_graph_that_is_not_its_groups():
     t = build_theta(cyclic(6))
     adj = t.adj.copy()
     adj[1, 5] = adj[5, 1] = True  # the two elements of order 6 are not adjacent in Θ(Z_6)
-    with pytest.raises(ValueError, match="not the expansion"):
-        order_class_spectrum(ThetaGraph(t.group, adj))
-    with pytest.raises(ValueError, match="not the expansion"):
-        order_class_spectrum(ThetaGraph(t.group, adj[:5, :5]))
+    u = from_adjacency(t.group, adj)
+    _assert_matches_the_dense_oracle(u)
+    assert order_class_spectrum(u).entries != order_class_spectrum(t).entries
+    with pytest.raises(ValueError, match="symmetric 6 x 6"):
+        from_adjacency(t.group, adj[:5, :5])
 
 
 @pytest.mark.parametrize("g", [dihedral(580), dicyclic(540)], ids=lambda g: g.describe())
