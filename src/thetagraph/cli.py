@@ -19,7 +19,7 @@ import time
 
 from . import groups, verify
 from .analysis import analyze_group, spectrum_section
-from .graph import build_theta, dot_pieces, json_pieces, prime_order_set
+from .graph import _json_text, build_theta, dot_pieces, json_pieces, prime_order_set
 from .properties import (
     DEFAULT_NODE_BUDGET,
     CrossCheckError,
@@ -211,14 +211,14 @@ def _cmd_analyze(args) -> int:
     report = analyze_group(
         g, hamiltonian_budget=args.budget, timestamp=not args.no_timestamp
     )
-    _emit((json.dumps(report, indent=2) + "\n",), args.out)
+    _emit((_json_text(report) + "\n",), args.out)
     return EXIT_OK
 
 
 def _cmd_spectrum(args) -> int:
     g = _group_from_args(args)
     section = spectrum_section(build_theta(g))
-    _emit((json.dumps(section, indent=2) + "\n",), args.out)
+    _emit((_json_text(section) + "\n",), args.out)
     return EXIT_OK
 
 

@@ -9,8 +9,10 @@ dense n x n ``adj`` is made only when something reads it, once per quotient.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -90,6 +92,42 @@ def prime_order_set(t: ThetaGraph) -> frozenset[int]:
     return frozenset(np.flatnonzero(oc.one_or_prime[oc.class_of]).tolist())
 
 
+# the text of each exact scalar type; a subclass of one is left to json.dumps
+_JSON_SCALARS = {
+    str: _quote, int: int.__repr__, type(None): lambda _: "null",
+    bool: {True: "true", False: "false"}.__getitem__,
+    float: lambda x: float.__repr__(x) if math.isfinite(x) else json.dumps(x),  # NaN, Infinity
+}
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, raising its TypeError where it does.
+    With an indent the stdlib writes in pure Python, an item at a time; here a list of only
+    ints or only strs is one C-level join. Private, so a tracer of the public functions
+    leaves its time with the command that writes."""
+    scalar = _JSON_SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        kinds = set(map(type, value))
+        items = (map(int.__repr__, value) if kinds == {int} else map(_quote, value) if kinds == {str}
+                 else [_json_text(v, inner) for v in value])
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if value else "[]"
+    if isinstance(value, dict):
+        items = [_quote(k if isinstance(k, str) else _json_key(k)) + ": " + _json_text(v, inner)
+                 for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if value else "{}"
+    return json.dumps(value)
+
+
+def _json_key(key) -> str:
+    """A key that is not a str, as ``json`` writes it: an int, float, bool or None as its text."""
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 def _edge_rows(q: TwinQuotient, heads: list[str], tails: list[str], sep: str) -> Iterator[str]:
     """Yield one text per row i with edges: its edges i < j as ``heads[i] + tails[j]``,
     ascending, joined by ``sep``; rows ascending.
@@ -128,28 +166,13 @@ def json_pieces(t: ThetaGraph) -> Iterator[str]:
     the fields after.
 
     The text equals ``json.dumps(doc, indent=2) + "\\n"`` with ``edges`` a
-    list of ``[i, j]`` pairs; only the small fields go through ``json``.
+    list of ``[i, j]`` pairs; only the small fields go through ``_json_text``.
     """
     n = t.n_vertices
-    before = json.dumps(
-        {
-            "group": {
-                "family": t.group.family,
-                "params": t.group.params,
-                "order": t.group.size,
-            },
-            "labels": list(t.group.labels),
-            "orders": list(t.group.orders),
-        },
-        indent=2,
-    )
-    after = json.dumps(
-        {
-            "degrees": t.degrees.tolist(),
-            "warnings": [{"code": c, "message": m} for c, m in t.group.warnings],
-        },
-        indent=2,
-    )
+    group = {"family": t.group.family, "params": t.group.params, "order": t.group.size}
+    before = _json_text({"group": group, "labels": t.group.labels, "orders": t.group.orders})
+    warnings = [{"code": c, "message": m} for c, m in t.group.warnings]
+    after = _json_text({"degrees": t.degrees.tolist(), "warnings": warnings})
     rows = _edge_rows(
         t.quotient, [f"    [\n      {i},\n      " for i in range(n)], [f"{j}\n    ]" for j in range(n)], ",\n"
     )

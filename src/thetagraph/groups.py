@@ -83,13 +83,15 @@ class OrderClasses:
         """(k, k) bool, read-only: whether an element of class i and a
         distinct element of class j are joined, that is whether the gcd of the
         two orders is 1 or a prime. The gcd table is made in blocks of rows, so
-        its temporaries stay small; primality is tested once per distinct gcd."""
+        its temporaries stay small, each block from its diagonal on and mirrored
+        below it; primality is tested once per distinct gcd."""
         k, verdict = len(self.orders), cache(is_one_or_prime)
         edge = np.empty((k, k), dtype=bool)
         for r in range(0, k, _GCD_BLOCK_ROWS):
-            block = np.gcd.outer(self.orders[r : r + _GCD_BLOCK_ROWS], self.orders)
-            gcds, gcd_of = np.unique(block, return_inverse=True)
-            edge[r : r + _GCD_BLOCK_ROWS] = np.array([verdict(v) for v in gcds.tolist()])[gcd_of].reshape(-1, k)
+            rows = slice(r, r + _GCD_BLOCK_ROWS)
+            gcds, gcd_of = np.unique(np.gcd.outer(self.orders[rows], self.orders[r:]), return_inverse=True)
+            edge[rows, r:] = np.array([verdict(v) for v in gcds.tolist()])[gcd_of].reshape(-1, k - r)
+            edge[r:, rows] = edge[rows, r:].T
         edge.setflags(write=False)
         return edge
 

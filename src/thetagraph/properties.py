@@ -20,6 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .graph import ThetaGraph, prime_order_set
+from .groups import TwinQuotient
 
 __all__ = [
     "ConnectivityResult",
@@ -132,7 +133,11 @@ def components_after_removal(t: ThetaGraph, removed) -> int:
     bad = removed[(removed < 0) | (removed >= n)]
     if bad.size:
         raise IndexError(f"vertex index out of range: {bad[0]}")
-    left = q.sizes - np.bincount(q.class_of[np.unique(removed)], minlength=len(q.sizes))
+    return _components_left(q, q.sizes - np.bincount(q.class_of[np.unique(removed)], minlength=len(q.sizes)))
+
+
+def _components_left(q: TwinQuotient, left: np.ndarray) -> int:
+    """Connected components of the blow-up of q with left[c] vertices kept in class c."""
     unseen = left > 0
     joined = q.adjacent & unseen & unseen[:, None] & ~np.eye(len(left), dtype=bool)
     count = int((left - 1)[unseen & ~joined.any(axis=1) & ~q.adjacent.diagonal()].sum())
@@ -282,8 +287,10 @@ class HamiltonianVerdict:
 
 
 def _gaps(t: ThetaGraph, cycle: np.ndarray) -> np.ndarray:
-    """The places k where the hop from cycle[k] to the next vertex, cyclically, is not an edge."""
-    return np.flatnonzero(~t.adj[cycle, np.roll(cycle, -1)])
+    """The places k where the hop from cycle[k] to the next vertex, cyclically, is not an edge.
+    The vertices are distinct, so each hop's edge is read off the classes."""
+    c = t.quotient.class_of[cycle]
+    return np.flatnonzero(~t.quotient.adjacent[c, np.roll(c, -1)])
 
 
 def validate_cycle(t: ThetaGraph, cycle) -> bool:
@@ -293,9 +300,12 @@ def validate_cycle(t: ThetaGraph, cycle) -> bool:
     n = t.n_vertices
     if cycle is None or n < 3:
         return False
-    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in cycle):
-        return False
-    return sorted(cycle) == list(range(n)) and not _gaps(t, np.asarray(cycle, dtype=np.int64)).size
+    if isinstance(cycle, np.ndarray) and cycle.dtype.kind in "iu":  # ints by its dtype
+        listed = np.array_equal(np.sort(cycle), np.arange(n))  # False on any other shape
+    else:
+        ints = all(not isinstance(v, bool) and isinstance(v, (int, np.integer)) for v in cycle)
+        listed = ints and sorted(cycle) == list(range(n))
+    return listed and not _gaps(t, np.asarray(cycle, dtype=np.int64)).size
 
 
 def _ore_cycle(t: ThetaGraph) -> tuple[int, ...]:
@@ -313,20 +323,20 @@ def _ore_cycle(t: ThetaGraph) -> tuple[int, ...]:
     deg(x_{n-1}) neighbours x_j, j in 0..n-2 each, and the degree-sum bound
     makes these n or more choices of j among n - 1 values.
     """
-    n = t.n_vertices
+    n, q = t.n_vertices, t.quotient
     order = np.argsort(t.degrees, kind="stable")
     cycle = np.column_stack([order, order[::-1]]).ravel()[:n]  # order[0], order[-1], order[1], ...
     while (gaps := _gaps(t, cycle)).size:
         path = np.roll(cycle, -int(gaps[0]) - 1)
-        crossing = np.flatnonzero(t.adj[path[0], path[2:]] & t.adj[path[-1], path[1:-1]])
+        c = q.class_of[path]
+        crossing = np.flatnonzero(q.adjacent[c[0], c[2:]] & q.adjacent[c[-1], c[1:-1]])
         if not crossing.size:
             raise CrossCheckError("Ore rewiring failed; degree-sum bound violated")
         j = int(crossing[0]) + 1
         cycle = np.concatenate([path[: j + 1], path[j + 1 :][::-1]])
-    cycle = tuple(cycle.tolist())
     if not validate_cycle(t, cycle):
         raise CrossCheckError("Ore construction produced an invalid cycle")
-    return cycle
+    return tuple(cycle.tolist())
 
 
 def _toughness_refutation(t: ThetaGraph) -> tuple[frozenset[int], int] | None:
@@ -336,19 +346,17 @@ def _toughness_refutation(t: ThetaGraph) -> tuple[frozenset[int], int] | None:
     order (elements of one composite order are pairwise non-adjacent), and
     the prime-order set S(G). If removing a candidate leaves more components
     than vertices removed, the graph is not 1-tough, hence not Hamiltonian.
+    A candidate is tested as the vertices it keeps, so only a winning cut is listed.
     """
-    n = t.n_vertices
-    oc = t.group.order_classes
-    candidates = [
-        frozenset(np.flatnonzero(oc.class_of != c).tolist()) for c in np.flatnonzero(~oc.one_or_prime)
-    ]
-    candidates.append(prime_order_set(t))
-    for cut in candidates:
-        if not cut or len(cut) >= n:
+    n, q, oc = t.n_vertices, t.quotient, t.group.order_classes
+    kept = [oc.class_of == c for c in np.flatnonzero(~oc.one_or_prime)]
+    for keep in [*kept, ~oc.one_or_prime[oc.class_of]]:
+        removed = n - int(np.count_nonzero(keep))
+        if not 0 < removed < n:
             continue
-        comps = components_after_removal(t, cut)
-        if comps > len(cut):
-            return cut, comps
+        comps = _components_left(q, np.bincount(q.class_of[keep], minlength=len(q.sizes)))
+        if comps > removed:
+            return frozenset(np.flatnonzero(~keep).tolist()), comps
     return None
 
 
@@ -395,14 +403,15 @@ def _hamiltonian_search(t: ThetaGraph, node_budget: int) -> tuple[str, tuple[int
 def is_hamiltonian(t: ThetaGraph, node_budget: int = DEFAULT_NODE_BUDGET) -> HamiltonianVerdict:
     """Decide Hamiltonicity: Ore bound, then 1-toughness refutation, then
     budgeted exact search. A yes always carries a certificate cycle and a
-    toughness-based no carries the separating set. Ore's bound is read on
-    the rows of degree below n/2 only: d_u + d_v < n needs one of them."""
-    n = t.n_vertices
+    toughness-based no carries the separating set. Ore's bound is read on the
+    classes of degree below n/2 as rows: a short pair u, v has an end there,
+    and lies in two non-adjacent classes or in one independent class of two."""
+    n, q = t.n_vertices, t.quotient
     if n < 3:
         return HamiltonianVerdict("no", None, "exact_search", 0)
-    low = np.flatnonzero(2 * t.degrees < n)
-    # the bounds as a column, not an n x n int64; a row's own vertex is no pair
-    short = ~t.adj[low] & (t.degrees < n - t.degrees[low, None]) & (np.arange(n) != low[:, None])
+    low = np.flatnonzero(2 * q.degrees < n)
+    pair = (np.arange(len(q.sizes)) != low[:, None]) | (q.sizes[low, None] > 1)  # or two of one class
+    short = ~q.adjacent[low] & (q.degrees < n - q.degrees[low, None]) & pair
     if not short.any():
         return HamiltonianVerdict("yes", _ore_cycle(t), "ore_sufficient", 0)
     refutation = _toughness_refutation(t)

@@ -16,6 +16,7 @@ import pytest
 import thetagraph.cli
 import thetagraph.spectra
 from thetagraph import FAMILIES, build_theta, cyclic, export_dot, export_json, validate_cycle
+from thetagraph.analysis import analyze_group, spectrum_section
 from thetagraph.cli import SEARCH_CSV_HEADER, _emit, main, parse_selector
 from thetagraph.groups import TwinQuotient, enumerate_groups, group_keys
 from thetagraph.numtheory import is_prime
@@ -82,6 +83,23 @@ def test_analyze_cyclic_1_warns(capsys):
     assert code == 0
     report = json.loads(out)
     assert any(w["code"] == "small_group" for w in report["warnings"])
+
+
+def _selector(family, args):
+    """The selector flags of a built-in group from ``group_keys``."""
+    if family == "product":  # of two cyclic groups
+        return ["--product", *(f"cyclic:{n}" for n in args)]
+    return ["--elem-abelian" if family == "elementary_abelian" else f"--{family}", *map(str, args)]
+
+
+def test_analyze_and_spectrum_write_what_json_dumps_writes_on_every_group_to_order_200(capsys):
+    for _, family, _, build, args in group_keys(200, FAMILIES):
+        g = build(*args)
+        docs = {"analyze": analyze_group(g, timestamp=False), "spectrum": spectrum_section(build_theta(g))}
+        for command, doc in docs.items():
+            flags = ["--no-timestamp"] if command == "analyze" else []
+            assert main([command, *flags, *_selector(family, args)]) == 0
+            assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n", (command, g.describe())
 
 
 def test_analyze_deterministic_without_timestamp(capsys):
@@ -364,24 +382,36 @@ def test_export_of_4096_order_classes_builds_their_adjacency_in_bounded_memory(t
     assert int(peak_kib) < 256 * 1024
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc/self/status")
+def test_analyze_of_4096_elements_never_holds_an_n_by_n_matrix():
+    # Ore's test and the cycle read the classes: the dense view of Z_4096 is 16 MiB, and
+    # making it for them took the command to an 82 MiB peak
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_SCRIPT, "analyze", "--no-timestamp", "--cyclic", "4096"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=_child_env(), check=True,
+    )
+    code, peak_kib = proc.stderr.split()
+    assert code == "0"
+    assert int(peak_kib) < 56 * 1024
+
+
 def test_spectrum_export_and_search_never_build_the_dense_adjacency(tmp_path, capsys, monkeypatch):
     def refuse(q):
         raise AssertionError("the dense adjacency was built")
 
-    def selector(family, args):
-        if family == "product":  # of two cyclic groups
-            return ["--product", *(f"cyclic:{n}" for n in args)]
-        return ["--elem-abelian" if family == "elementary_abelian" else f"--{family}", *map(str, args)]
-
     monkeypatch.setattr(TwinQuotient, "expansion", property(refuse))
-    selectors = [selector(family, args) for _, family, _, _, args in group_keys(64, FAMILIES)]
+    selectors = [_selector(family, args) for _, family, _, _, args in group_keys(64, FAMILIES)]
     # the groups of the export benchmark
     selectors += [["--heisenberg", "11"], ["--product", "cyclic:30", "cyclic:35"]]
     assert len(selectors) == 201
     out = str(tmp_path / "out")
+    commands = (["analyze", "--no-timestamp"], ["spectrum"], ["export", "--format", "json"],
+                ["export", "--format", "dot"])
     for selector in selectors:
-        for argv in (["spectrum"], ["export", "--format", "json"], ["export", "--format", "dot"]):
+        for argv in commands:
             assert main([*argv, *selector, "--out", out]) == 0, (argv, selector)
+    for selector in (["--cyclic", "4096"], ["--dihedral", "2000"]):
+        assert main(["analyze", "--no-timestamp", *selector, "--out", out]) == 0, selector
     assert main(["search", "--max-order", "200", "--out", str(tmp_path / "search.csv")]) == 0
     capsys.readouterr()
     for *_, g in enumerate_groups(200, FAMILIES):

@@ -5,10 +5,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 import thetagraph.groups
 from thetagraph.graph import (
+    _json_text,
     build_theta,
     export_dot,
     export_json,
@@ -361,6 +362,53 @@ def test_class_adjacency_is_the_gcd_rule_across_row_blocks():
     oc = from_orders([f"g{k}" for k in range(300)], orders).order_classes
     assert len(oc.orders) == 300
     assert oc.adjacent.tolist() == [[is_one_or_prime(math.gcd(a, b)) for b in orders] for a in orders]
+
+
+def test_class_adjacency_is_the_gcd_rule_in_blocks_of_7_rows(monkeypatch):
+    # each block from its diagonal on, mirrored below it: blocks of 7 rows make up to 9 of them
+    monkeypatch.setattr(thetagraph.groups, "_GCD_BLOCK_ROWS", 7)
+    rng = np.random.default_rng(24)
+    for k in [1, 2, 7, 8, 14, 15, 60, *rng.integers(1, 61, size=30).tolist()]:
+        orders = [1] + sorted(rng.choice(np.arange(2, 720), size=k - 1, replace=False).tolist())
+        oc = from_orders([f"g{i}" for i in range(k)], orders).order_classes
+        assert oc.adjacent.tolist() == [[is_one_or_prime(math.gcd(a, b)) for b in orders] for a in orders], orders
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.floats()
+    | st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, 1e-300, 5e-324, 1e300])
+    | st.text()
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=6)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(), inner, max_size=6)
+    | st.lists(st.integers(min_value=-(2**70), max_value=2**70), max_size=8)
+    | st.lists(st.text(), max_size=8),
+    max_leaves=40,
+)
+
+
+@seed(24)
+@settings(deadline=None, max_examples=200)
+@given(_JSON_VALUES)
+def test_json_text_is_json_dumps_with_indent_2(value):
+    # str keys and texts draw non-ASCII and control characters; ints pass 2**63
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_text_writes_other_keys_and_refuses_what_json_refuses():
+    value = {1: [], 2.5: {}, math.inf: -0.0, True: [True, 1], None: ("a", "\u00e9\x07"), "s": [[1, 2], ["x"]]}
+    assert _json_text(value) == json.dumps(value, indent=2)
+    for bad in (np.int64(1), {1, 2}, [1, np.int64(1)], {"k": {1}}, {(1, 2): 3}, [b"bytes"]):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError):
+            _json_text(bad)
 
 
 def _sample_graphs():

@@ -564,6 +564,64 @@ def test_validate_cycle_accepts_python_and_numpy_ints():
     assert validate_cycle(t, np.arange(3))
 
 
+@pytest.mark.parametrize(
+    "cycle",
+    [np.array([0, 1, 1]), np.array([0, 1, 3]), np.array([[0, 1, 2]]), np.array([0, 1]), np.array([2, 1, 0, 3]),
+     np.array([0, 1, 2], dtype=bool), np.array([0.0, 1.0, 2.0]), np.array([0, 1, 2], dtype=object)],
+)
+def test_validate_cycle_reads_an_int_array_by_its_dtype_and_rejects_the_rest(cycle):
+    # bool, float and object arrays go through the per-element test; only the last passes it
+    assert validate_cycle(build_theta(cyclic(3)), cycle) is (cycle.dtype == object)
+    assert validate_cycle(build_theta(cyclic(3)), np.array([2, 0, 1], dtype=np.uint8))
+
+
+def _dense_ore_holds(t):
+    """Ore's condition on the n x n view: no two distinct non-adjacent vertices with d_u + d_v < n."""
+    n, d = t.n_vertices, t.degrees
+    return not (~t.adj & (d[:, None] + d < n) & ~np.eye(n, dtype=bool)).any()
+
+
+def _listed_toughness_refutation(t):
+    """The candidate cuts as vertex sets, tried in turn on ``components_after_removal``."""
+    oc = t.group.order_classes
+    cuts = [frozenset(np.flatnonzero(oc.class_of != c).tolist()) for c in np.flatnonzero(~oc.one_or_prime)]
+    for cut in [*cuts, prime_order_set(t)]:
+        if cut and len(cut) < t.n_vertices and (comps := components_after_removal(t, cut)) > len(cut):
+            return cut, comps
+    return None
+
+
+def test_ore_and_toughness_on_the_classes_match_the_dense_view_on_every_graph_to_order_200():
+    # corrupted graphs have classes that are not the order classes; the budget of 0 stops at once
+    ore = refuted = 0
+    for t in _small_graphs(200):
+        if t.n_vertices < 3:
+            continue
+        verdict = is_hamiltonian(t, node_budget=0)
+        assert (verdict.method == "ore_sufficient") == _dense_ore_holds(t), t.group.describe()
+        assert _toughness_refutation(t) == _listed_toughness_refutation(t), t.group.describe()
+        ore += verdict.method == "ore_sufficient"
+        refuted += verdict.method == "toughness_refuted"
+    assert ore > 200 and refuted > 500
+
+
+def test_ore_on_the_classes_matches_the_dense_view_on_random_graphs():
+    # a vertex alone in its class pairs with no one: in this 5-vertex graph v = 0 has degree 2 < 5/2,
+    # and Ore's condition holds, as its non-neighbours 3 and 4 have degree 3
+    adj = np.zeros((5, 5), dtype=bool)
+    for u, v in [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]:
+        adj[u, v] = adj[v, u] = True
+    graphs = [from_adjacency(cyclic(5), adj)]
+    rng = np.random.default_rng(24)
+    for n in rng.integers(3, 14, size=300).tolist():
+        upper = np.triu(rng.random((n, n)) < rng.uniform(0.3, 0.95), k=1)
+        graphs.append(from_adjacency(cyclic(n), upper | upper.T))
+    for t in graphs:
+        verdict = is_hamiltonian(t, node_budget=0)
+        assert (verdict.method == "ore_sufficient") == _dense_ore_holds(t), t.adj.astype(int)
+    assert is_hamiltonian(graphs[0], node_budget=0).method == "ore_sufficient"
+
+
 def test_hamiltonian_brute_force_agreement_small():
     # the pipeline verdict must agree with a plain exhaustive search
     for g in (cyclic(4), cyclic(6), cyclic(8), cyclic(9), dihedral(4), dicyclic(2)):
