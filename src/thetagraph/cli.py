@@ -188,7 +188,8 @@ def _writer(out_path: str | None, append: bool = False):
             yield fh
             fh.flush()
     except BrokenPipeError:  # the reader left early (``| head``); flush what is left to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
     except OSError as exc:
         raise UsageError(f"cannot write output: {exc}")
 

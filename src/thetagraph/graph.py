@@ -64,9 +64,6 @@ class ThetaGraph:
         ii, jj = np.nonzero(np.triu(self.adj, k=1))
         return list(zip(ii.tolist(), jj.tolist()))
 
-    def neighbors(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.adj[i])
-
 
 def build_theta(g: GroupSpec) -> ThetaGraph:
     """The graph of g over its order classes, whose quotient is made once per group."""

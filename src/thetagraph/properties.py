@@ -15,7 +15,7 @@ import functools
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -87,15 +87,13 @@ def _once_per_graph(fn):
 # ---------------------------------------------------------------------------
 
 
-def _universal(t: ThetaGraph) -> np.ndarray:
-    """The universal vertices (degree n - 1). In Θ(G) the identity is one,
-    as gcd(1, m) = 1; a graph with none contradicts the group side."""
-    universal = np.flatnonzero(t.degrees == t.n_vertices - 1)
-    if not universal.size:
+def _universal(t: ThetaGraph) -> None:
+    """Check for a universal vertex (degree n - 1) on the class degrees. In Θ(G)
+    the identity is one, as gcd(1, m) = 1; a graph with none contradicts the group side."""
+    if not (t.quotient.degrees == t.n_vertices - 1).any():
         raise CrossCheckError(
             f"no universal vertex in the graph of {t.group.describe()}; the identity should be universal"
         )
-    return universal
 
 
 def is_connected(t: ThetaGraph) -> bool:
@@ -137,17 +135,17 @@ def components_after_removal(t: ThetaGraph, removed) -> int:
 
 
 def _components_left(q: TwinQuotient, left: np.ndarray) -> int:
-    """Connected components of the blow-up of q with left[c] vertices kept in class c."""
-    unseen = left > 0
-    joined = q.adjacent & unseen & unseen[:, None] & ~np.eye(len(left), dtype=bool)
-    count = int((left - 1)[unseen & ~joined.any(axis=1) & ~q.adjacent.diagonal()].sum())
-    while unseen.any():
+    """Connected components of the blow-up of q with left[c] vertices kept in class c, searched on those classes."""
+    kept = np.flatnonzero(left)
+    joined = q.adjacent[np.ix_(kept, kept)] & ~np.eye(len(kept), dtype=bool)
+    count = int((left[kept] - 1)[~joined.any(axis=1) & ~q.adjacent[kept, kept]].sum())
+    reached = np.zeros(len(kept), dtype=bool)
+    while not reached.all():
         count += 1
-        reached = frontier = np.arange(len(left)) == np.argmax(unseen)
+        frontier = np.arange(len(kept)) == np.argmin(reached)  # the first class not reached
         while frontier.any():  # one numpy step per BFS level over the classes
+            reached |= frontier
             frontier = joined[frontier].any(axis=0) & ~reached
-            reached = reached | frontier
-        unseen &= ~reached
     return count
 
 
@@ -162,7 +160,7 @@ def is_eulerian(t: ThetaGraph) -> bool:
 
     The identity is the only element of order 1, so the group side is: |G|
     odd and every order class of order 1 or a prime."""
-    graph_side = is_connected(t) and bool((t.degrees % 2 == 0).all())
+    graph_side = is_connected(t) and bool((t.quotient.degrees % 2 == 0).all())
     group_side = t.group.size % 2 == 1 and bool(t.group.order_classes.one_or_prime.all())
     return _agree(t, "eulerian", graph_side, group_side)
 
@@ -222,19 +220,18 @@ def _planar_graph_side(t: ThetaGraph) -> tuple[bool, str]:
     Only |U| <= 1 on five or more vertices goes to the left-right planarity
     test of networkx, imported there and nowhere else.
     """
-    n, m = t.n_vertices, t.edge_count
+    n, m, q = t.n_vertices, t.edge_count, t.quotient
     if n >= 3 and m > 3 * n - 6:
         return False, "euler_bound"
     if n <= 4:
         return True, "small_graph"
-    universal = np.flatnonzero(t.degrees == n - 1)
-    u = len(universal)
+    in_h = q.degrees < n - 1
+    u = n - int(q.sizes[in_h].sum())
     if u >= 3:
         return n == 5, "universal_vertices"
     if u == 2:
-        h_degrees = t.degrees[t.degrees < n - 1] - 2  # each vertex of H loses its edges to U
-        forest_edges = n - 2 - components_after_removal(t, universal)
-        linear = bool((h_degrees <= 2).all()) and int(h_degrees.sum()) // 2 == forest_edges
+        h_edges = m - (2 * n - 3)  # not in H: the edge inside U and two edges to U at each vertex of H
+        linear = bool((q.degrees[in_h] - 2 <= 2).all()) and h_edges == n - 2 - _components_left(q, q.sizes * in_h)
         return linear, "universal_vertices"
     import networkx as nx
 
@@ -349,8 +346,8 @@ def _toughness_refutation(t: ThetaGraph) -> tuple[frozenset[int], int] | None:
     A candidate is tested as the vertices it keeps, so only a winning cut is listed.
     """
     n, q, oc = t.n_vertices, t.quotient, t.group.order_classes
-    kept = [oc.class_of == c for c in np.flatnonzero(~oc.one_or_prime)]
-    for keep in [*kept, ~oc.one_or_prime[oc.class_of]]:
+    kept = (oc.class_of == c for c in np.flatnonzero(~oc.one_or_prime))  # one mask at a time
+    for keep in chain(kept, [~oc.one_or_prime[oc.class_of]]):
         removed = n - int(np.count_nonzero(keep))
         if not 0 < removed < n:
             continue
@@ -361,31 +358,29 @@ def _toughness_refutation(t: ThetaGraph) -> tuple[frozenset[int], int] | None:
 
 
 def _hamiltonian_search(t: ThetaGraph, node_budget: int) -> tuple[str, tuple[int, ...] | None, int]:
-    """Exact backtracking over vertices in ascending-degree order.
-
-    Depth-first with an explicit stack, so the depth is not bounded by the
-    interpreter's recursion limit. Each vertex placed on the path counts as
-    one explored node.
+    """Exact backtracking over vertices in ascending-degree order, twins sharing one
+    neighbour list (a clique class's members are on theirs, skipped as used). Depth-first
+    with an explicit stack, so the depth is not bounded by the interpreter's recursion
+    limit. Each vertex placed on the path counts as one explored node.
     """
-    n = t.n_vertices
-    order = sorted(range(n), key=lambda v: (int(t.degrees[v]), v))
-    start = order[0]
-    rank = {v: k for k, v in enumerate(order)}
-    nbrs = [sorted((int(w) for w in t.neighbors(v)), key=lambda w: rank[w]) for v in range(n)]
+    n, q = t.n_vertices, t.quotient
+    order = np.argsort(t.degrees, kind="stable")
+    class_of = q.class_of.tolist()
+    nbrs = [order[row[q.class_of[order]]].tolist() for row in q.adjacent]
     used = [False] * n
     path: list[int] = []
     untried: list = []  # untried[d]: iterator over the neighbours of path[d] not yet tried
     nodes = 0
-    w = start
+    w = start = int(order[0])
     while True:
         nodes += 1
         if nodes > node_budget:
             return "inconclusive", None, nodes
         used[w] = True
         path.append(w)
-        if len(path) == n and t.adj[w, start]:
+        if len(path) == n and q.adjacent[class_of[w], class_of[start]]:
             return "yes", tuple(path), nodes
-        untried.append(iter(nbrs[w]))
+        untried.append(iter(nbrs[class_of[w]]))
         # step to the next unused neighbour, backtracking from exhausted vertices
         while untried:
             for w in untried[-1]:
@@ -493,15 +488,16 @@ def vertex_connectivity(t: ThetaGraph) -> ConnectivityResult:
     n, q = t.n_vertices, t.quotient
     if _complete_graph_side(t):
         return ConnectivityResult(n - 1, None, "complete_rule")
-    universal = np.flatnonzero(t.degrees == n - 1)
-    if components_after_removal(t, universal) >= 2:
-        return ConnectivityResult(len(universal), frozenset(universal.tolist()), "max_flow")
-    classes = np.flatnonzero(q.degrees < n - 1)  # H's classes, ascending
+    in_h = q.degrees < n - 1
+    u_size = n - int(q.sizes[in_h].sum())
+    if _components_left(q, q.sizes * in_h) >= 2:
+        return ConnectivityResult(u_size, _listed_cut(t, ~in_h, u_size), "max_flow")
+    classes = np.flatnonzero(in_h)  # H's classes, ascending
     q_adj = q.adjacent[np.ix_(classes, classes)]
-    best, best_cut = n, frozenset()  # every candidate below is smaller than n
+    best, cut = n, np.zeros_like(in_h)  # the best cut's classes; every candidate below is smaller than n
     for c in classes.tolist():
         if q.sizes[c] > 1 and not q.adjacent[c, c] and q.degrees[c] < best:
-            best, best_cut = int(q.degrees[c]), frozenset(np.flatnonzero(q.adjacent[c][q.class_of]).tolist())
+            best, cut = int(q.degrees[c]), q.adjacent[c]
     s = int(np.argmin(q.degrees[classes]))
     # the vertex-split digraph of the classes: x_in = 2x, x_out = 2x+1. The split
     # arc of class x carries its size; connection arcs carry n + 1, so a minimum
@@ -521,15 +517,20 @@ def vertex_connectivity(t: ThetaGraph) -> ConnectivityResult:
     pairs.extend((a, b) for a, b in combinations(ns, 2) if not q_adj[a, b])
     for a, b in pairs:  # weighted kappa_H(a, b) of each non-adjacent pair
         value, reached = _min_cut(arcs, 2 * a + 1, 2 * b)
-        if len(universal) + value < best:
-            best = len(universal) + value
-            split = [c for x, c in enumerate(classes.tolist()) if 2 * x in reached and 2 * x + 1 not in reached]
-            best_cut = frozenset(np.concatenate([universal, np.flatnonzero(np.isin(q.class_of, split))]).tolist())
-    if best > int(t.degrees.min()):
+        if u_size + value < best:
+            best, cut = u_size + value, ~in_h
+            cut[[c for x, c in enumerate(classes.tolist()) if 2 * x in reached and 2 * x + 1 not in reached]] = True
+    if best > int(q.degrees.min()):
         raise CrossCheckError("kappa exceeds the minimum degree")
-    if len(best_cut) != best or components_after_removal(t, best_cut) < 2:
+    return ConnectivityResult(best, _listed_cut(t, cut, best), "max_flow")
+
+
+def _listed_cut(t: ThetaGraph, classes: np.ndarray, size: int) -> frozenset[int]:
+    """The vertices of the marked classes, re-validated on the full graph as a cut of size vertices."""
+    cut = frozenset(np.flatnonzero(classes[t.quotient.class_of]).tolist())
+    if len(cut) != size or components_after_removal(t, cut) < 2:
         raise CrossCheckError("minimum cut witness failed re-validation")
-    return ConnectivityResult(best, best_cut, "max_flow")
+    return cut
 
 
 def open_problem_classify(t: ThetaGraph) -> str:

@@ -120,11 +120,16 @@ def test_analyze_requires_exactly_one_selector(capsys):
     assert code == 1
 
 
-def test_analyze_rejects_a_negative_budget_before_building_the_group(tmp_path, capsys, monkeypatch):
-    # the order list of Z_4 x|_3 Z_6: orders 1, 2 x5, 3 x2, 4 x2, 6 x10, 12 x4
+def _z4_z6_list(tmp_path) -> Path:
+    """Write the order list of Z_4 x|_3 Z_6: orders 1, 2 x5, 3 x2, 4 x2, 6 x10, 12 x4."""
     orders = [1] + [2] * 5 + [3] * 2 + [4] * 2 + [6] * 10 + [12] * 4
     path = tmp_path / "z4_z6.json"
     path.write_text(json.dumps({"labels": list(range(len(orders))), "orders": orders}))
+    return path
+
+
+def test_analyze_rejects_a_negative_budget_before_building_the_group(tmp_path, capsys, monkeypatch):
+    path = _z4_z6_list(tmp_path)
     monkeypatch.setattr(thetagraph.cli, "_group_from_args", lambda args: pytest.fail("group built"))
     code, out, err = run_cli(capsys, "analyze", "--custom", str(path), "--budget", "-5")
     assert code == 1 and out == ""
@@ -132,6 +137,19 @@ def test_analyze_rejects_a_negative_budget_before_building_the_group(tmp_path, c
     monkeypatch.undo()
     code, out, _ = run_cli(capsys, "analyze", "--custom", str(path), "--budget", "0", "--no-timestamp")
     assert code == 0 and json.loads(out)["properties"]["hamiltonian"]["nodes_explored"] <= 1
+
+
+def test_the_exact_search_of_analyze_reads_no_dense_view(tmp_path, capsys, monkeypatch):
+    # Z_4 x|_3 Z_6 meets neither Ore's bound nor a toughness cut, so analyze runs the search
+    def refuse(q):
+        raise AssertionError("the dense adjacency was built")
+
+    monkeypatch.setattr(TwinQuotient, "expansion", property(refuse))
+    code, out, _ = run_cli(capsys, "analyze", "--custom", str(_z4_z6_list(tmp_path)), "--budget", "1000",
+                           "--no-timestamp")
+    verdict = json.loads(out)["properties"]["hamiltonian"]
+    assert code == 0
+    assert (verdict["status"], verdict["nodes_explored"], verdict["method"]) == ("inconclusive", 1001, "exact_search")
 
 
 def test_analyze_hamiltonian_cycle_revalidates(capsys):
@@ -353,6 +371,31 @@ def test_output_into_a_pipe_closed_early_exits_0_quietly(argv, head):
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+FD_COUNT_SCRIPT = """
+import os, sys
+from thetagraph.cli import main
+before = len(os.listdir("/proc/self/fd"))
+code = main(sys.argv[1:])
+print(code, before, len(os.listdir("/proc/self/fd")), file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="open descriptors are listed in /proc/self/fd")
+def test_output_into_a_closed_pipe_leaves_no_descriptor_open():
+    # stdout goes to devnull once the reader has left; the descriptor opened for it is closed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", FD_COUNT_SCRIPT, "verify", "--suite", "connectivity"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=_child_env(), check=True,
+        )
+    finally:
+        os.close(write_end)
+    code, before, after = proc.stderr.split()
+    assert code == "0" and after == before
 
 
 def _semiprime_list(path, count):

@@ -605,6 +605,35 @@ def test_ore_and_toughness_on_the_classes_match_the_dense_view_on_every_graph_to
     assert ore > 200 and refuted > 500
 
 
+def test_a_toughness_candidate_that_keeps_one_class_searches_one_class(monkeypatch):
+    # every element its own order, 1019 of them composite (6m): each composite class is a
+    # candidate that keeps one class, and searching all k classes for it made the refutation cubic
+    orders = [1, 2, 3, 5, 7] + [6 * m for m in range(1, 1020)]
+    g = from_orders([str(k) for k in range(len(orders))], orders)
+    shapes = []
+
+    class Recording(np.ndarray):
+        """The class adjacency, noting the shape of every array made from it."""
+
+        def __array_finalize__(self, obj):
+            shapes.append(self.shape)
+
+    oc = g.order_classes
+    t = ThetaGraph(g, groups.TwinQuotient(oc.class_of, oc.adjacent.view(Recording), oc.sizes))
+    components_left, searched = thetagraph.properties._components_left, []
+
+    def recording(q, left):
+        shapes.clear()
+        comps = components_left(q, left)
+        searched.append((np.count_nonzero(left), max(max(shape, default=0) for shape in shapes)))
+        return comps
+
+    monkeypatch.setattr(thetagraph.properties, "_components_left", recording)
+    # the last candidate removes S(G) and leaves the 1019 composite classes, pairwise non-adjacent
+    assert _toughness_refutation(t) == (frozenset(range(5)), 1019)
+    assert searched[:-1] == [(1, 1)] * 1019 and searched[-1] == (1019, 1019)
+
+
 def test_ore_on_the_classes_matches_the_dense_view_on_random_graphs():
     # a vertex alone in its class pairs with no one: in this 5-vertex graph v = 0 has degree 2 < 5/2,
     # and Ore's condition holds, as its non-neighbours 3 and 4 have degree 3
