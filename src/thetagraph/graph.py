@@ -53,7 +53,7 @@ class ThetaGraph:
 
     @property
     def n_vertices(self) -> int:
-        return len(self.group.orders)
+        return self.group.size
 
     @property
     def edge_count(self) -> int:

@@ -1,7 +1,8 @@
 """Finite groups reduced to labeled element-order profiles.
 
 The coprimality graph of a group depends only on element orders, so a group
-is stored as a list of (label, order) pairs plus family metadata. Full
+is stored as an int64 array of element orders, computed by a formula per
+family, plus family metadata; its labels are made only when read. Full
 multiplication tables are never kept here; tests rebuild them from the
 defining presentations where an independent oracle is wanted.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -101,48 +102,57 @@ class OrderClasses:
         return TwinQuotient(self.class_of, self.adjacent, self.sizes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupSpec:
-    """A finite group as labeled element orders.
+    """A finite group as an array of element orders, with labels made on first read.
 
-    Exactly one element has order 1. The identity's index and the
-    ``warnings`` are derived from the orders alone, as the graph is.
+    Exactly one element has order 1, and every order is positive. The
+    identity's index and the ``warnings`` are derived from the orders alone,
+    as the graph is. ``orders`` and ``labels`` read as tuples of Python ints
+    and strs, each made once; ``make_labels()`` gives the labels in element
+    order. Equality goes by identity.
     """
 
     family: str
     params: dict
-    labels: tuple[str, ...]
-    orders: tuple[int, ...]
+    order_array: np.ndarray  # (n,) int64, read-only: the order of each element
+    make_labels: Callable[[], tuple[str, ...]]
 
     def __post_init__(self):
-        if not self.labels:
+        orders = np.asarray(self.order_array, dtype=np.int64)
+        if not orders.size:
             raise ValueError("a group needs at least one element")
-        if len(self.labels) != len(self.orders):
-            raise ValueError("labels and orders must have equal length")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("element labels must be unique")
-        identities = self.orders.count(1)
+        identities = np.count_nonzero(orders == 1)
         if identities != 1:
             raise ValueError(f"expected exactly one identity element, found {identities}")
-        if any(o < 1 for o in self.orders):
+        if orders.min() < 1:
             raise ValueError("element orders must be positive")
-        if max(self.orders) > MAX_ORDER:
-            raise ValueError(f"element orders must be at most 2**63 - 1, got {max(self.orders)}")
+        orders.setflags(write=False)
+        object.__setattr__(self, "order_array", orders)
+
+    @cached_property
+    def orders(self) -> tuple[int, ...]:
+        return tuple(self.order_array.tolist())
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        return self.make_labels()
 
     @cached_property
     def identity_index(self) -> int:
-        return self.orders.index(1)
+        return int(np.argmin(self.order_array))
 
     @cached_property
     def warnings(self) -> tuple[tuple[str, str], ...]:
         """Machine-readable (code, message) pairs: each element whose order
         does not divide |G| (Lagrange), in element order, then ``small_group``
-        when |G| <= 2, since the graph definition assumes |G| > 2."""
-        n = self.size
+        when |G| <= 2, since the graph definition assumes |G| > 2. Only a
+        class whose order fails has its elements listed."""
+        n, oc = self.size, self.order_classes
+        failed = np.flatnonzero((n % oc.orders != 0)[oc.class_of])
         warnings = tuple(
-            ("lagrange_violation", f"order {o} of element {label!r} does not divide group size {n}")
-            for label, o in zip(self.labels, self.orders)
-            if n % o != 0
+            ("lagrange_violation", f"order {o} of element {self.labels[i]!r} does not divide group size {n}")
+            for i, o in zip(failed.tolist(), self.order_array[failed].tolist())
         )
         if n <= 2:
             warnings += (
@@ -152,14 +162,14 @@ class GroupSpec:
 
     @property
     def size(self) -> int:
-        return len(self.orders)
+        return len(self.order_array)
 
     @cached_property
     def order_classes(self) -> OrderClasses:
         """The order classes, derived once per spec. Every group-side
         criterion reads them, so primality is tested once per distinct
         order, never once per element."""
-        orders, class_of = np.unique(np.asarray(self.orders, dtype=np.int64), return_inverse=True)
+        orders, class_of = np.unique(self.order_array, return_inverse=True)
         one_or_prime = np.array([is_one_or_prime(o) for o in orders.tolist()], dtype=bool)
         sizes = np.bincount(class_of).astype(np.int64)
         for a in (orders, class_of, one_or_prime, sizes):
@@ -182,10 +192,21 @@ def _check_size(name: str, size: int) -> None:
         raise ValueError(f"{name} would have more than MAX_ELEMENTS = {MAX_ELEMENTS} elements")
 
 
+def _check_max_order(top: int) -> None:
+    """Refuse an element order that int64 cannot hold."""
+    if top > MAX_ORDER:
+        raise ValueError(f"element orders must be at most 2**63 - 1, got {top}")
+
+
 def order_profile(g: GroupSpec) -> dict[int, int]:
     """Multiset of element orders as {order: count}, ascending by order."""
     oc = g.order_classes
     return dict(zip(oc.orders.tolist(), oc.sizes.tolist()))
+
+
+def _cyclic_orders(n: int) -> np.ndarray:
+    """The orders of Z_n's elements 0..n-1: k has order n / gcd(n, k)."""
+    return n // np.gcd(np.arange(n), n)
 
 
 def cyclic(n: int) -> GroupSpec:
@@ -193,17 +214,13 @@ def cyclic(n: int) -> GroupSpec:
     if n < 1:
         raise ValueError(f"cyclic requires n >= 1, got {n}")
     _check_size(f"cyclic({n})", n)
-    orders = tuple(n // gcd(n, k) for k in range(n))
-    labels = tuple(str(k) for k in range(n))
-    return GroupSpec("cyclic", {"n": n}, labels, orders)
+    return GroupSpec("cyclic", {"n": n}, _cyclic_orders(n), lambda: tuple(map(str, range(n))))
 
 
-def _power_label(sym: str, k: int) -> str:
-    if k == 0:
-        return "1"
-    if k == 1:
-        return sym
-    return f"{sym}^{k}"
+def _power_labels(sym: str, n: int, prefix: str = "") -> list[str]:
+    """``prefix + sym^k`` for k < n, with sym^0 written ``1`` (nothing after a prefix)
+    and sym^1 written ``sym``."""
+    return ([prefix or "1", prefix + sym] + [f"{prefix}{sym}^{k}" for k in range(2, n)])[:n]
 
 
 def dihedral(n: int) -> GroupSpec:
@@ -214,16 +231,9 @@ def dihedral(n: int) -> GroupSpec:
     if n < 1:
         raise ValueError(f"dihedral requires n >= 1, got {n}")
     _check_size(f"dihedral({n})", 2 * n)
-    rot_orders = [n // gcd(n, i) for i in range(n)]
-    rot_labels = [_power_label("r", i) for i in range(n)]
-    ref_orders = [2] * n
-    ref_labels = ["s" if i == 0 else f"s{_power_label('r', i)}" for i in range(n)]
-    return GroupSpec(
-        "dihedral",
-        {"n": n},
-        tuple(rot_labels + ref_labels),
-        tuple(rot_orders + ref_orders),
-    )
+    orders = np.concatenate([_cyclic_orders(n), np.full(n, 2)])
+    return GroupSpec("dihedral", {"n": n}, orders,
+                     lambda: tuple(_power_labels("r", n) + _power_labels("r", n, "s")))
 
 
 def dicyclic(n: int) -> GroupSpec:
@@ -237,65 +247,59 @@ def dicyclic(n: int) -> GroupSpec:
     if n < 2:
         raise ValueError(f"dicyclic requires n >= 2, got {n}")
     _check_size(f"dicyclic({n})", 4 * n)
-    a_orders = [2 * n // gcd(2 * n, k) for k in range(2 * n)]
-    a_labels = [_power_label("a", k) for k in range(2 * n)]
-    x_orders = [4] * (2 * n)
-    x_labels = ["x" if k == 0 else f"x{_power_label('a', k)}" for k in range(2 * n)]
-    return GroupSpec(
-        "dicyclic",
-        {"n": n},
-        tuple(a_labels + x_labels),
-        tuple(a_orders + x_orders),
-    )
+    orders = np.concatenate([_cyclic_orders(2 * n), np.full(2 * n, 4)])
+    return GroupSpec("dicyclic", {"n": n}, orders,
+                     lambda: tuple(_power_labels("a", 2 * n) + _power_labels("a", 2 * n, "x")))
+
+
+def _identity_then(size: int, order: int) -> np.ndarray:
+    """The orders of a group whose elements other than the first all have one order."""
+    orders = np.full(size, order)
+    orders[0] = 1
+    return orders
 
 
 def elementary_abelian(p: int, m: int) -> GroupSpec:
-    """(Z_p)^m: identity plus p^m - 1 elements of order p."""
+    """(Z_p)^m: identity plus p^m - 1 elements of order p. Element k is the
+    vector of its base-p digits, least significant first."""
     if not is_prime(p):
         raise ValueError(f"elementary_abelian requires a prime p, got {p}")
     if m < 1:
         raise ValueError(f"elementary_abelian requires m >= 1, got {m}")
     # p >= 2, so p**m is over the limit once m reaches its bit length; a huge m is never raised
     _check_size(f"elementary_abelian({p},{m})", p ** min(m, MAX_ELEMENTS.bit_length()))
-    size = p**m
-    vectors = [[(k // p**j) % p for j in range(m)] for k in range(size)]
-    labels = tuple(",".join(str(c) for c in v) for v in vectors)
-    orders = tuple(1 if all(c == 0 for c in v) else p for v in vectors)
-    return GroupSpec("elementary_abelian", {"p": p, "m": m}, labels, orders)
+    return GroupSpec("elementary_abelian", {"p": p, "m": m}, _identity_then(p**m, p),
+                     lambda: tuple(",".join(str(k // p**j % p) for j in range(m)) for k in range(p**m)))
 
 
 def heisenberg(p: int) -> GroupSpec:
     """Upper unitriangular 3x3 matrices over F_p, enumerated explicitly.
 
-    A matrix is the triple (a, b, c) of its strictly-upper entries, and
-    (a, b, c)^k = (ka, kb + C(k,2)ac, kc). For odd p, C(p,2) is divisible by
-    p, so every other element has order p. For p = 2 (the dihedral group of
-    order 8) (1, b, 1) squares to (0, 1, 0) and has order 4; the rest have
-    order 2. Tests confirm this against a multiplication table.
+    A matrix is the triple (a, b, c) of its strictly-upper entries, element
+    a·p² + b·p + c, and (a, b, c)^k = (ka, kb + C(k,2)ac, kc). For odd p,
+    C(p,2) is divisible by p, so every other element has order p. For p = 2
+    (the dihedral group of order 8) (1, b, 1), elements 5 and 7, squares to
+    (0, 1, 0) and has order 4; the rest have order 2. Tests confirm this
+    against a multiplication table.
     """
     if not is_prime(p):
         raise ValueError(f"heisenberg requires a prime p, got {p}")
     _check_size(f"heisenberg({p})", p**3)
-    triples = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
-    labels = tuple(f"({a},{b},{c})" for a, b, c in triples)
-    orders = tuple(
-        1 if a == b == c == 0 else 4 if p == 2 and a == c == 1 else p for a, b, c in triples
-    )
-    return GroupSpec("heisenberg", {"p": p}, labels, orders)
+    orders = _identity_then(p**3, p)
+    if p == 2:
+        orders[[5, 7]] = 4
+    return GroupSpec("heisenberg", {"p": p}, orders,
+                     lambda: tuple(f"({a},{b},{c})" for a in range(p) for b in range(p) for c in range(p)))
 
 
 def direct_product(g: GroupSpec, h: GroupSpec) -> GroupSpec:
-    """G x H; the order of (a, b) is lcm(o(a), o(b))."""
+    """G x H, the pairs (a, b) with a major; the order of (a, b) is lcm(o(a), o(b))."""
     _check_size(f"product({g.describe()},{h.describe()})", g.size * h.size)
-    labels = []
-    orders = []
-    for la, oa in zip(g.labels, g.orders):
-        for lb, ob in zip(h.labels, h.orders):
-            labels.append(f"({la},{lb})")
-            orders.append(lcm(oa, ob))
-    return GroupSpec(
-        "product", {"left": g.describe(), "right": h.describe()}, tuple(labels), tuple(orders)
-    )
+    if g.order_array.max() > MAX_ORDER // h.order_array.max():  # an lcm may pass int64
+        _check_max_order(max(lcm(x, y) for x in set(g.orders) for y in set(h.orders)))
+    return GroupSpec("product", {"left": g.describe(), "right": h.describe()},
+                     np.lcm.outer(g.order_array, h.order_array).ravel(),
+                     lambda: tuple(f"({la},{lb})" for la in g.labels for lb in h.labels))
 
 
 def from_orders(labels: list[str], orders: list[int]) -> GroupSpec:
@@ -303,12 +307,27 @@ def from_orders(labels: list[str], orders: list[int]) -> GroupSpec:
 
     An order list alone cannot prove group-ness, so Lagrange violations
     (an order not dividing the element count) show in the spec's
-    ``warnings`` rather than as an error. Structural problems -- no identity,
-    several identities, mismatched lengths -- are rejected by GroupSpec.
+    ``warnings`` rather than as an error. Structural problems raise
+    ValueError, the first found in this order: no labels, mismatched lengths,
+    repeated labels, then the spec's checks (one identity, positive orders),
+    then an order beyond int64.
     """
     n = len(orders)
     _check_size(f"custom(order={n})", n)
-    return GroupSpec("custom", {"n": n}, tuple(labels), tuple(orders))
+    labels = tuple(labels)
+    if not labels:
+        raise ValueError("a group needs at least one element")
+    if len(labels) != n:
+        raise ValueError("labels and orders must have equal length")
+    if len(set(labels)) != n:
+        raise ValueError("element labels must be unique")
+    try:
+        array = np.array(orders, dtype=np.int64)
+    except OverflowError:  # clipped into int64 range, so the spec's own checks still come first
+        array = np.array(orders, dtype=object).clip(0, MAX_ORDER).astype(np.int64)
+    spec = GroupSpec("custom", {"n": n}, array, lambda: labels)
+    _check_max_order(max(orders))
+    return spec
 
 
 def _cyclic_product(a: int, b: int) -> GroupSpec:

@@ -218,13 +218,17 @@ def order_class_spectrum(t: ThetaGraph) -> SpectrumResult:
     of the k x k class quotient q_ij = |C_j| [i ~ j] - [i = j and C_i is a
     clique], plus its row sum d_i on the diagonal, and, for each class,
     d_i - [C_i is a clique] with multiplicity |C_i| - 1. The quotient is
-    symmetrised as in ``quotient_spectrum``, and values are grouped by the
-    rule of ``eig_sym`` with the same scale, 2 * max degree.
+    symmetrised as in ``quotient_spectrum``, to [i ~ j] sqrt(|C_i| |C_j|) off
+    the diagonal, in one k x k array, and values are grouped by the rule of
+    ``eig_sym`` with the same scale, 2 * max degree.
     """
     q = t.quotient
     twin = q.degrees - q.adjacent.diagonal()  # d_i - [C_i is a clique]
-    counts = q.adjacent * q.sizes + np.diag(twin)
-    values = np.linalg.eigvalsh(np.sqrt(counts * counts.T)).tolist()
+    symmetric = np.outer(q.sizes.astype(np.float64), q.sizes)
+    np.sqrt(symmetric, out=symmetric)
+    symmetric *= q.adjacent
+    np.fill_diagonal(symmetric, q.adjacent.diagonal() * q.sizes + twin)
+    values = np.linalg.eigvalsh(symmetric).tolist()
     twins = [(d, c - 1) for d, c in zip(twin.tolist(), q.sizes.tolist()) if c > 1]
     return _numeric_spectrum([(v, 1) for v in values] + twins, 2 * float(q.degrees.max()))
 

@@ -247,7 +247,7 @@ def check_dicyclic_counterexample(r: CheckResult, t: ThetaGraph, build: Builder)
 def check_eulerian(r: CheckResult, t: ThetaGraph, build: Builder) -> CheckResult:
     g = t.group
     value = props.is_eulerian(t)  # raises CrossCheckError on dual mismatch
-    theorem = (g.size % 2 == 1) and all(is_prime(o) for o in set(g.orders) - {1})
+    theorem = (g.size % 2 == 1) and all(is_prime(o) for o in g.order_classes.orders.tolist() if o != 1)
     r.expect(value == theorem, f"{g.describe()}: eulerian={value}, theorem={theorem}")
     return r
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import thetagraph.cli
+import thetagraph.properties
 import thetagraph.spectra
 from thetagraph import FAMILIES, build_theta, cyclic, export_dot, export_json, validate_cycle
 from thetagraph.analysis import analyze_group, spectrum_section
@@ -151,6 +152,47 @@ def test_the_exact_search_of_analyze_reads_no_dense_view(tmp_path, capsys, monke
     assert code == 0
     assert (verdict["status"], verdict["nodes_explored"], verdict["method"]) == ("inconclusive", 1001, "exact_search")
 
+
+
+# ---------------------------------------------------------------------------
+# fault injection: each guard below is reached by no honest input, so a step under it is made to lie
+# ---------------------------------------------------------------------------
+
+
+def _analyze_fails_its_cross_check(capsys, argv, message):
+    code, out, err = run_cli(capsys, "analyze", "--no-timestamp", *argv)
+    assert code == 2 and out == ""
+    assert err == f"theorem cross-check FAILED: {message}\n"
+
+
+def test_a_cut_that_fails_its_re_validation_exits_2(capsys, monkeypatch):
+    assert run_cli(capsys, "analyze", "--no-timestamp", "--dihedral", "6")[0] == 0
+    monkeypatch.setattr(thetagraph.properties, "components_after_removal", lambda t, removed: 1)
+    _analyze_fails_its_cross_check(capsys, ["--dihedral", "6"], "minimum cut witness failed re-validation")
+
+
+def test_a_flow_that_overstates_kappa_past_the_minimum_degree_exits_2(tmp_path, capsys, monkeypatch):
+    # no built-in group of order <= 300 has a kappa that only the flow finds: where H is connected
+    # (Dic_n, n odd), an independent class's degree gives kappa too. This order list is no group
+    # (4, 9, 12 and 18 do not divide 6), but analyze passes every cross-check on it. Its classes are
+    # single elements, U = {1, 2} and H is the path 18 - 4 - 9 - 12, so kappa = 2 + 1 = 3 comes from
+    # the flow, and it is the minimum degree
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps({"labels": list(range(6)), "orders": [1, 2, 4, 9, 12, 18]}))
+    code, out, _ = run_cli(capsys, "analyze", "--no-timestamp", "--custom", str(path))
+    assert code == 0 and json.loads(out)["properties"]["vertex_connectivity"]["value"] == 3
+    min_cut = thetagraph.properties._min_cut
+    monkeypatch.setattr(thetagraph.properties, "_min_cut", lambda *a: (lambda v, r: (v + 1, r))(*min_cut(*a)))
+    _analyze_fails_its_cross_check(capsys, ["--custom", str(path)], "kappa exceeds the minimum degree")
+
+
+def test_an_exact_search_that_returns_a_broken_cycle_exits_2(tmp_path, capsys, monkeypatch):
+    # Z_4 x|_3 Z_6 reaches the exact search; its vertices in index order are no cycle, as
+    # the ten elements of order 6 (indices 10 to 19) are pairwise non-adjacent
+    monkeypatch.setattr(thetagraph.properties, "_hamiltonian_search",
+                        lambda t, budget: ("yes", tuple(range(t.n_vertices)), 1))
+    _analyze_fails_its_cross_check(capsys, ["--custom", str(_z4_z6_list(tmp_path))],
+                                   "search produced an invalid Hamiltonian cycle")
 
 def test_analyze_hamiltonian_cycle_revalidates(capsys):
     _, out, _ = run_cli(capsys, "analyze", "--cyclic", "10", "--no-timestamp")
@@ -790,6 +832,23 @@ def _search_rows(csv_path):
         del record["ms"]
     return header, [row[:-1] for row in rows], records
 
+
+
+# sha256 of the header and rows of ``search --max-order 1000``, and of its records, as
+# ``_search_rows`` reads them (``ms`` dropped), recorded before the groups became order arrays
+SEARCH_1000_SHA256 = (
+    "44034c37dde0da6cf0848e490e1fc6546da31b89f9dc3cbe5ba7495c6b835ed3",
+    "de27809a05addeece2c05e659292ad454fbd70954e72685a7663bd3491f1bee4",
+)
+
+
+def test_search_to_1000_is_pinned(tmp_path, capsys):
+    out_path = tmp_path / "scan.csv"
+    assert main(["search", "--max-order", "1000", "--out", str(out_path)]) == 0
+    header, rows, records = _search_rows(out_path)
+    texts = ("\n".join(",".join(row) for row in [header, *rows]), "\n".join(json.dumps(r) for r in records))
+    assert tuple(hashlib.sha256(text.encode()).hexdigest() for text in texts) == SEARCH_1000_SHA256
+    assert len(rows) == 4325 and capsys.readouterr().err.endswith("(total 4325)\n")
 
 def test_search_stopped_sweep_keeps_its_rows_and_resumes(tmp_path, capsys, monkeypatch):
     argv = ["search", "--max-order", "16", "--families", "cyclic,dihedral"]

@@ -4,6 +4,7 @@ import dataclasses
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from thetagraph.graph import build_theta
@@ -362,15 +363,141 @@ def test_product_with_a_lagrange_violating_factor_keeps_its_warnings():
 
 
 def test_group_spec_holds_only_what_it_is_given():
-    assert [f.name for f in dataclasses.fields(GroupSpec)] == ["family", "params", "labels", "orders"]
+    fields = ["family", "params", "order_array", "make_labels"]
+    assert [f.name for f in dataclasses.fields(GroupSpec)] == fields
     g = from_orders(["e", "a"], [1, 3])
     assert g.warnings is g.warnings  # computed once
-    for name, value in (("identity_index", 1), ("warnings", ())):
+    for name, value in (("identity_index", 1), ("warnings", ()), ("labels", ()), ("orders", ())):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(g, name, value)
         with pytest.raises(TypeError):
-            GroupSpec("custom", {"n": 2}, ("e", "a"), (1, 3), **{name: value})
+            GroupSpec("custom", {"n": 2}, np.array([1, 3]), lambda: ("e", "a"), **{name: value})
+    assert not g.order_array.flags.writeable
 
+
+
+# ---------------------------------------------------------------------------
+# slow-path oracle: the constructors one element at a time, as they once were
+# ---------------------------------------------------------------------------
+
+
+def _slow_power_label(sym, k):
+    return "1" if k == 0 else sym if k == 1 else f"{sym}^{k}"
+
+
+def _slow_cyclic(n):
+    return [str(k) for k in range(n)], [n // math.gcd(n, k) for k in range(n)]
+
+
+def _slow_dihedral(n):
+    labels = [_slow_power_label("r", i) for i in range(n)]
+    labels += ["s" if i == 0 else f"s{_slow_power_label('r', i)}" for i in range(n)]
+    return labels, [n // math.gcd(n, i) for i in range(n)] + [2] * n
+
+
+def _slow_dicyclic(n):
+    labels = [_slow_power_label("a", k) for k in range(2 * n)]
+    labels += ["x" if k == 0 else f"x{_slow_power_label('a', k)}" for k in range(2 * n)]
+    return labels, [2 * n // math.gcd(2 * n, k) for k in range(2 * n)] + [4] * (2 * n)
+
+
+def _slow_elementary_abelian(p, m):
+    vectors = [[(k // p**j) % p for j in range(m)] for k in range(p**m)]
+    labels = [",".join(str(c) for c in v) for v in vectors]
+    return labels, [1 if all(c == 0 for c in v) else p for v in vectors]
+
+
+def _slow_heisenberg(p):
+    triples = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
+    labels = [f"({a},{b},{c})" for a, b, c in triples]
+    orders = [1 if a == b == c == 0 else 4 if p == 2 and a == c == 1 else p for a, b, c in triples]
+    return labels, orders
+
+
+def _slow_product(g, h):
+    (lg, og), (lh, oh) = g, h
+    labels = [f"({la},{lb})" for la in lg for lb in lh]
+    return labels, [math.lcm(oa, ob) for oa in og for ob in oh]
+
+
+_SLOW = {"cyclic": _slow_cyclic, "dihedral": _slow_dihedral, "dicyclic": _slow_dicyclic,
+         "elementary_abelian": _slow_elementary_abelian, "heisenberg": _slow_heisenberg,
+         "product": lambda a, b: _slow_product(_slow_cyclic(a), _slow_cyclic(b))}
+
+
+def _slow_warnings(labels, orders):
+    n = len(orders)
+    warnings = [_lagrange_warning(label, o, n) for label, o in zip(labels, orders) if n % o != 0]
+    return tuple(warnings + ([_small_group_warning(n)] if n <= 2 else []))
+
+
+def _assert_matches_slow_path(g, labels, orders):
+    assert g.orders == tuple(orders) and all(type(o) is int for o in g.orders), g.describe()
+    assert g.labels == tuple(labels) and all(type(x) is str for x in g.labels), g.describe()
+    assert g.order_array.dtype == np.int64 and g.order_array.tolist() == orders, g.describe()
+    assert g.identity_index == orders.index(1), g.describe()
+    assert g.warnings == _slow_warnings(labels, orders), g.describe()
+
+
+def test_every_built_in_group_to_512_matches_the_per_element_constructors():
+    keys = group_keys(512, FAMILIES)
+    for _, family, _, build, args in keys:
+        _assert_matches_slow_path(build(*args), *_SLOW[family](*args))
+    assert {family for _, family, *_ in keys} == set(FAMILIES)
+
+
+_CUSTOM_FACTORS = (
+    (["e", "a"], [1, 3]),
+    (["e", "a", "b", "c"], [1, 3, 2, 3]),
+    (["1", "x", "y"], [1, 2, 5]),
+    (["e", "a", "b"], [1, 3, 3]),
+)
+
+
+@pytest.mark.parametrize("custom", _CUSTOM_FACTORS, ids=lambda c: ",".join(map(str, c[1])))
+def test_products_with_a_custom_factor_match_the_per_element_constructors(custom):
+    g = from_orders(*custom)
+    factors = [(g, custom), (cyclic(4), _slow_cyclic(4)), (dihedral(3), _slow_dihedral(3)),
+               (heisenberg(2), _slow_heisenberg(2))]
+    for left, slow_left in factors:
+        for right, slow_right in factors:
+            _assert_matches_slow_path(direct_product(left, right), *_slow_product(slow_left, slow_right))
+    nested = direct_product(direct_product(g, cyclic(2)), g)
+    _assert_matches_slow_path(nested, *_slow_product(_slow_product(custom, _slow_cyclic(2)), custom))
+
+
+def test_labels_are_made_on_first_read_only():
+    made = []
+    g = direct_product(cyclic(3), from_orders(["e", "a"], [1, 2]))
+    g = dataclasses.replace(g, make_labels=lambda: made.append(1) or ("x",) * 6)
+    assert g.identity_index == 0 and g.warnings == () and g.orders == (1, 2, 3, 6, 3, 6)
+    assert build_theta(g).n_vertices == 6 and made == []
+    assert g.labels is g.labels and made == [1]
+
+
+def test_products_refuse_an_order_beyond_int64_and_keep_the_largest_that_fits():
+    big = from_orders(["e", "a"], [1, 2**61 + 1])
+    with pytest.raises(ValueError, match=f"at most 2\\*\\*63 - 1, got {4 * (2**61 + 1)}"):
+        direct_product(cyclic(4), big)
+    assert direct_product(big, cyclic(2)).orders == (1, 2, 2**61 + 1, 2 * (2**61 + 1))
+    top = from_orders(["e", "a"], [1, 2**63 - 1])
+    assert direct_product(top, top).orders == (1, 2**63 - 1, 2**63 - 1, 2**63 - 1)
+
+
+@pytest.mark.parametrize(
+    "labels, orders, message",
+    [
+        (["e", "a", "b"], [1, 1, 10**30], "exactly one identity element, found 2"),
+        (["e", "a"], [1, -(10**30)], "must be positive"),
+        (["e", "a", "b"], [2, -(10**30), 10**30], "exactly one identity element, found 0"),
+        (["e", "e"], [1, 10**30], "labels must be unique"),
+        ([], [1], "at least one element"),
+        (["e", "a"], [1, 10**30], f"at most 2\\*\\*63 - 1, got {10**30}"),
+    ],
+)
+def test_from_orders_checks_in_one_order_beyond_int64_too(labels, orders, message):
+    with pytest.raises(ValueError, match=message):
+        from_orders(labels, orders)
 
 def _family_samples():
     for n in range(1, 20):

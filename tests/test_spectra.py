@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -448,6 +449,47 @@ def test_close_distinct_eigenvalues_keep_their_own_multiplicity(g):
     for spec in (eig_sym(q), order_class_spectrum(t)):
         values = [v for v, m in spec.numeric_items() for _ in range(m)]
         assert values == pytest.approx(expected, abs=TOL)
+
+
+def _three_temporaries_quotient(q):
+    """The symmetrised class quotient as first written, with three k x k temporaries."""
+    counts = q.adjacent * q.sizes + np.diag(q.degrees - q.adjacent.diagonal())
+    return np.sqrt(counts * counts.T)
+
+
+def _diagonalised(monkeypatch, t):
+    """The spectrum of t and the matrix order_class_spectrum handed to eigvalsh."""
+    eigvalsh, seen = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a) or eigvalsh(a))
+    spec = order_class_spectrum(t)
+    monkeypatch.undo()
+    return spec, seen[0]
+
+
+def test_the_symmetrised_quotient_is_bit_equal_to_the_three_temporaries_formula(monkeypatch):
+    for _, _, _, build, args in group_keys(64, FAMILIES):
+        g = build(*args)
+        for t in (build_theta(g), corrupting_builder(g)):
+            spec, matrix = _diagonalised(monkeypatch, t)
+            old = _three_temporaries_quotient(t.quotient)
+            assert matrix.dtype == old.dtype == np.float64 and np.array_equal(matrix, old), g.describe()
+
+
+def test_the_spectrum_of_2048_classes_holds_one_k_by_k_array_next_to_eigvalsh(monkeypatch):
+    # every element its own class: the quotient is 2048 x 2048, 32 MiB in float64, and eigvalsh
+    # copies it once; the three-temporaries formula peaked at 96 MiB under tracemalloc
+    orders = [1, 2, 3, 5, 7] + [6 * m for m in range(1, 2044)]
+    t = build_theta(from_orders([str(k) for k in range(len(orders))], orders))
+    assert len(t.quotient.sizes) == 2048
+    tracemalloc.start()
+    try:
+        spec, matrix = _diagonalised(monkeypatch, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 70 * 2**20, peak / 2**20
+    assert np.array_equal(matrix, _three_temporaries_quotient(t.quotient))
+    assert sum(m for _, m in spec.entries) == 2048
 
 
 # ---------------------------------------------------------------------------
