@@ -125,9 +125,17 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
+# The edge rows go to the writer in blocks of at least this many characters, as each piece
+# costs it about one OS write. Writing the K_1331 JSON export (30 MB) to a file took 42 ms
+# a row at a time, 38 ms in 64 KiB blocks, 34 ms in 256 or 512 KiB blocks and 41 ms in
+# 1 MiB blocks (2-vCPU VM, median of 40). A block is all the memory that streaming adds.
+_PIECE_CHARS = 2**18
+
+
 def _edge_rows(q: TwinQuotient, heads: list[str], tails: list[str], sep: str) -> Iterator[str]:
-    """Yield one text per row i with edges: its edges i < j as ``heads[i] + tails[j]``,
-    ascending, joined by ``sep``; rows ascending.
+    """Yield the text of the edges i < j as ``heads[i] + tails[j]``, ascending, joined by
+    ``sep``, in blocks of whole rows: every block but the last holds at least
+    ``_PIECE_CHARS`` characters, and at most that plus one row and its ``sep``.
 
     Vertices of one class are twins, so row i is its class's list of neighbour tails from
     just past i. The head goes into the separator: one C-level join per row, not per edge.
@@ -138,9 +146,16 @@ def _edge_rows(q: TwinQuotient, heads: list[str], tails: list[str], sep: str) ->
         nbrs = np.flatnonzero(q.adjacent[c][q.class_of[mine[0] :]]) + mine[0]
         lists.append(tail_of[nbrs].tolist())
         start[mine] = np.searchsorted(nbrs, mine, side="right")
+    block, size = [], -len(sep)  # size is len(sep.join(block))
     for head, c, s in zip(heads, q.class_of.tolist(), start.tolist()):
         if s < len(lists[c]):
-            yield head + (sep + head).join(lists[c][s:])
+            block.append(head + (sep + head).join(lists[c][s:]))
+            size += len(sep) + len(block[-1])
+            if size >= _PIECE_CHARS:
+                yield sep.join(block)
+                block, size = [], -len(sep)
+    if block:
+        yield sep.join(block)
 
 
 def _dot_id(label: str) -> str:
@@ -150,7 +165,7 @@ def _dot_id(label: str) -> str:
 
 def dot_pieces(t: ThetaGraph) -> Iterator[str]:
     """The DOT document of ``export_dot`` in pieces: the node lines, then
-    one piece per vertex with edges to higher vertices, then the closing brace."""
+    the edge lines in blocks of ``_edge_rows``, then the closing brace."""
     ids = [_dot_id(label) for label in t.group.labels]
     yield "graph theta {\n" + "".join(f"  {v};\n" for v in ids)
     yield from _edge_rows(t.quotient, [f"  {v} -- " for v in ids], [f"{v};\n" for v in ids], "")
@@ -159,8 +174,8 @@ def dot_pieces(t: ThetaGraph) -> Iterator[str]:
 
 def json_pieces(t: ThetaGraph) -> Iterator[str]:
     """The JSON document of ``export_json`` in pieces: the fields before
-    ``edges``, then one piece per vertex with edges to higher vertices, then
-    the fields after.
+    ``edges``, then the edge pairs in blocks of ``_edge_rows``, each after its
+    separator as a piece of its own, then the fields after.
 
     The text equals ``json.dumps(doc, indent=2) + "\\n"`` with ``edges`` a
     list of ``[i, j]`` pairs; only the small fields go through ``_json_text``.
@@ -176,8 +191,9 @@ def json_pieces(t: ThetaGraph) -> Iterator[str]:
     # both dumps are "{\n" + top-level members + "\n}"; the edge rows go between them
     yield before[:-2] + ',\n  "edges": ['
     sep = "\n"
-    for row in rows:
-        yield sep + row
+    for block in rows:
+        yield sep  # on its own: prefixing it would copy the block
+        yield block
         sep = ",\n"
     yield ("]" if sep == "\n" else "\n  ]") + ",\n" + after[2:] + "\n"
 

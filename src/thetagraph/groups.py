@@ -41,7 +41,7 @@ FAMILIES = ("cyclic", "dihedral", "dicyclic", "elementary_abelian", "heisenberg"
 # the graph is built over int64 orders, and primality is exact far beyond this
 MAX_ORDER = 2**63 - 1
 # the dense n x n adjacency, made only where it is read, is 16 MiB at 2**12 elements, and
-# the 64-bit Q of verify 128 MiB; a complete graph's export streams with about a 49 MB peak
+# the 64-bit Q of verify 128 MiB; a complete graph's export streams with a VmHWM of about 33 MiB
 MAX_ELEMENTS = 2**12
 _GCD_BLOCK_ROWS = 256  # the k x k gcd table of the order classes is made in blocks of rows
 
@@ -309,8 +309,9 @@ def from_orders(labels: list[str], orders: list[int]) -> GroupSpec:
     (an order not dividing the element count) show in the spec's
     ``warnings`` rather than as an error. Structural problems raise
     ValueError, the first found in this order: no labels, mismatched lengths,
-    repeated labels, then the spec's checks (one identity, positive orders),
-    then an order beyond int64.
+    repeated labels, an order that is not an int (a Python or numpy integer,
+    not a bool), then the spec's checks (one identity, positive orders), then
+    an order beyond int64.
     """
     n = len(orders)
     _check_size(f"custom(order={n})", n)
@@ -321,6 +322,9 @@ def from_orders(labels: list[str], orders: list[int]) -> GroupSpec:
         raise ValueError("labels and orders must have equal length")
     if len(set(labels)) != n:
         raise ValueError("element labels must be unique")
+    for o in orders:  # before the int64 conversion, which would truncate 2.5 to 2
+        if isinstance(o, bool) or not isinstance(o, (int, np.integer)):
+            raise ValueError(f"element orders must be integers, got {o!r}")
     try:
         array = np.array(orders, dtype=np.int64)
     except OverflowError:  # clipped into int64 range, so the spec's own checks still come first

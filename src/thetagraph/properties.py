@@ -318,7 +318,10 @@ def _ore_cycle(t: ThetaGraph) -> tuple[int, ...]:
     The new hops are edges, so from any start there are at most n steps.
     Such a j exists: x_0 has deg(x_0) neighbours x_{j+1} and x_{n-1} has
     deg(x_{n-1}) neighbours x_j, j in 0..n-2 each, and the degree-sum bound
-    makes these n or more choices of j among n - 1 values.
+    makes these n or more choices of j among n - 1 values. ``is_hamiltonian``
+    checks that bound exactly before it calls this, so a rotation can be stuck
+    only on a graph that fails it; the cycle then keeps its gap and fails the
+    one validation below.
     """
     n, q = t.n_vertices, t.quotient
     order = np.argsort(t.degrees, kind="stable")
@@ -327,8 +330,8 @@ def _ore_cycle(t: ThetaGraph) -> tuple[int, ...]:
         path = np.roll(cycle, -int(gaps[0]) - 1)
         c = q.class_of[path]
         crossing = np.flatnonzero(q.adjacent[c[0], c[2:]] & q.adjacent[c[-1], c[1:-1]])
-        if not crossing.size:
-            raise CrossCheckError("Ore rewiring failed; degree-sum bound violated")
+        if not crossing.size:  # no rotation removes this gap: Ore's bound fails here
+            break
         j = int(crossing[0]) + 1
         cycle = np.concatenate([path[: j + 1], path[j + 1 :][::-1]])
     if not validate_cycle(t, cycle):

@@ -16,12 +16,13 @@ import pytest
 import thetagraph.cli
 import thetagraph.properties
 import thetagraph.spectra
-from thetagraph import FAMILIES, build_theta, cyclic, export_dot, export_json, validate_cycle
+from thetagraph import FAMILIES, build_theta, cyclic, export_dot, export_json, prime_order_set, validate_cycle
 from thetagraph.analysis import analyze_group, spectrum_section
 from thetagraph.cli import SEARCH_CSV_HEADER, _emit, main, parse_selector
 from thetagraph.groups import TwinQuotient, enumerate_groups, group_keys
 from thetagraph.numtheory import is_prime
 from thetagraph.properties import (
+    ConnectivityResult,
     CrossCheckError,
     components_after_removal,
     is_complete,
@@ -193,6 +194,22 @@ def test_an_exact_search_that_returns_a_broken_cycle_exits_2(tmp_path, capsys, m
                         lambda t, budget: ("yes", tuple(range(t.n_vertices)), 1))
     _analyze_fails_its_cross_check(capsys, ["--custom", str(_z4_z6_list(tmp_path))],
                                    "search produced an invalid Hamiltonian cycle")
+
+
+def test_an_ore_cycle_that_fails_its_validation_exits_2(capsys, monkeypatch):
+    assert run_cli(capsys, "analyze", "--no-timestamp", "--dihedral", "35")[0] == 0
+    monkeypatch.setattr(thetagraph.properties, "validate_cycle", lambda t, cycle: False)
+    _analyze_fails_its_cross_check(capsys, ["--dihedral", "35"], "Ore construction produced an invalid cycle")
+
+
+def test_a_kappa_below_the_prime_order_set_exits_2(capsys, monkeypatch):
+    # every member of S(G) is universal, so only a connectivity that understates kappa reports fewer
+    monkeypatch.setattr(thetagraph.properties, "vertex_connectivity",
+                        lambda t: ConnectivityResult(len(prime_order_set(t)) - 1, None, "max_flow"))
+    _analyze_fails_its_cross_check(
+        capsys, ["--dihedral", "6"],
+        "kappa=9 < |S|=10 on dihedral(6); impossible since S(G) consists of universal vertices",
+    )
 
 def test_analyze_hamiltonian_cycle_revalidates(capsys):
     _, out, _ = run_cli(capsys, "analyze", "--cyclic", "10", "--no-timestamp")

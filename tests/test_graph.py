@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+import thetagraph.graph
 import thetagraph.groups
 from thetagraph.graph import (
     _json_text,
     build_theta,
+    dot_pieces,
     export_dot,
     export_json,
     from_adjacency,
+    json_pieces,
     prime_order_set,
 )
 from thetagraph.groups import (
@@ -215,6 +218,72 @@ def test_exports_match_per_edge_reference_on_a_graph_that_is_not_its_groups():
     assert "[\n      1,\n      5\n    ]" in export_json(u) and '"1" -- "5"' in export_dot(u)
     with pytest.raises(ValueError, match="symmetric 6 x 6"):
         from_adjacency(t.group, adj[:5, :5])
+
+
+@pytest.mark.parametrize("chars", [1, 64, 4096])
+def test_exports_match_per_edge_reference_in_blocks_of_any_size(monkeypatch, chars):
+    monkeypatch.setattr(thetagraph.graph, "_PIECE_CHARS", chars)
+    d6 = build_theta(dihedral(6))
+    corrupted = d6.adj.copy()
+    corrupted[7, :] = corrupted[:, 7] = False  # a reflection left isolated
+    corrupted[1, 5] = corrupted[5, 1] = True  # two elements of order 6 joined
+    graphs = [
+        build_theta(cyclic(1)),
+        build_theta(cyclic(2)),
+        from_adjacency(cyclic(3), np.zeros((3, 3), dtype=bool)),
+        # independent classes (orders 4 and 25) interleaved with clique classes (orders 2 and 3)
+        build_theta(from_orders([f"g{k}" for k in range(11)], [1, 4, 2, 25, 3, 4, 2, 25, 3, 4, 3])),
+        build_theta(dihedral(60)),
+        from_adjacency(d6.group, corrupted),
+    ]
+    for t in graphs:
+        _assert_exports_match_reference(t)
+
+
+def _edge_blocks(t, fmt):
+    """The edge pieces of t's export, each JSON one checked to follow its own separator piece."""
+    if fmt == "dot":
+        return list(dot_pieces(t))[1:-1]
+    pieces = list(json_pieces(t))
+    blocks = pieces[2:-1:2]
+    assert pieces[1:-1:2] == ["\n"] + [",\n"] * (len(blocks) - 1)
+    return blocks
+
+
+def _greedy_blocks(rows, sep, size):
+    """The rows joined by sep into blocks, each closed by the first row that brings it to size characters."""
+    blocks, block, length = [], [], 0
+    for row in rows:
+        length += len(row) + (len(sep) if block else 0)
+        block.append(row)
+        if length >= size:
+            blocks.append(sep.join(block))
+            block, length = [], 0
+    return blocks + ([sep.join(block)] if block else [])
+
+
+@pytest.mark.parametrize("fmt, sep", [("json", ",\n"), ("dot", "")])
+def test_edge_blocks_close_at_the_first_row_that_reaches_the_piece_size(monkeypatch, fmt, sep):
+    t = build_theta(dihedral(6))
+    monkeypatch.setattr(thetagraph.graph, "_PIECE_CHARS", 1)
+    rows = _edge_blocks(t, fmt)
+    assert len(rows) == 11
+    for size in range(1, len(sep.join(rows)) + 2):
+        monkeypatch.setattr(thetagraph.graph, "_PIECE_CHARS", size)
+        assert _edge_blocks(t, fmt) == _greedy_blocks(rows, sep, size), size
+
+
+@pytest.mark.parametrize("fmt, sep", [("json", ",\n"), ("dot", "")])
+def test_a_complete_export_goes_out_in_blocks_of_whole_rows(monkeypatch, fmt, sep):
+    t = build_theta(heisenberg(11))  # K_1331, the largest export of the benchmark
+    size = thetagraph.graph._PIECE_CHARS
+    blocks = _edge_blocks(t, fmt)
+    monkeypatch.setattr(thetagraph.graph, "_PIECE_CHARS", 1)
+    rows = _edge_blocks(t, fmt)
+    assert len(rows) == 1330 and len(blocks) < 150
+    assert blocks == _greedy_blocks(rows, sep, size)
+    assert all(len(b) >= size for b in blocks[:-1])
+    assert max(map(len, blocks)) <= size + len(sep) + max(map(len, rows))
 
 
 def test_export_without_edges_keeps_empty_edge_list():

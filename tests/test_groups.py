@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -257,6 +258,24 @@ def test_from_orders_caps_orders_at_int64():
     assert t.edge_count == 1
     with pytest.raises(ValueError, match="at most 2"):
         from_orders(["e", "a"], [1, 2**63])
+
+
+@pytest.mark.parametrize("order", [2.5, 3.0, "3", True, np.float64(3)], ids=repr)
+def test_from_orders_rejects_an_order_that_is_not_an_integer(order):
+    # the int64 conversion would make 2.5 an element of order 2
+    with pytest.raises(ValueError, match=f"orders must be integers, got {re.escape(repr(order))}"):
+        from_orders(["e", "a", "b"], [1, order, 3])
+    # after the label checks, before the spec's identity check
+    with pytest.raises(ValueError, match="labels must be unique"):
+        from_orders(["e", "e", "b"], [1, order, 3])
+    with pytest.raises(ValueError, match="orders must be integers"):
+        from_orders(["a", "b"], [2, order])
+
+
+def test_from_orders_accepts_numpy_integers():
+    g = from_orders(["e", "a", "b"], [np.int64(1), np.int64(3), np.int32(3)])
+    assert g.orders == (1, 3, 3) and all(type(o) is int for o in g.orders)
+    assert build_theta(g).edge_count == 3
 
 
 @pytest.mark.parametrize(

@@ -543,6 +543,16 @@ def test_the_interleave_leaves_no_gap_on_built_in_ore_groups(gap_scans):
     assert ore > 100
 
 
+def test_a_rotation_stuck_on_a_graph_below_the_ore_bound_fails_the_cycle_validation():
+    # the star K_{1,3}: its interleave 1, 0, 2, 3 has the gap 2 - 3, whose ends have no crossing
+    star = np.zeros((4, 4), dtype=bool)
+    star[0, 1:] = star[1:, 0] = True
+    t = from_adjacency(from_orders(["e", "a", "b", "c"], [1, 2, 2, 2]), star)
+    assert not _ore_holds(t)
+    with pytest.raises(CrossCheckError, match="Ore construction produced an invalid cycle"):
+        thetagraph.properties._ore_cycle(t)
+
+
 @pytest.mark.parametrize(
     "n, cycle",
     [(3, (-1, 0, 1)), (5, (0, 1, 2, 3, -1)), (3, (0, 1, 3)), (5, (0, 1, 2, 3, 4, 0)), (5, (0, 1, 2, 3))],
