@@ -135,7 +135,9 @@ _PIECE_CHARS = 2**18
 def _edge_rows(q: TwinQuotient, heads: list[str], tails: list[str], sep: str) -> Iterator[str]:
     """Yield the text of the edges i < j as ``heads[i] + tails[j]``, ascending, joined by
     ``sep``, in blocks of whole rows: every block but the last holds at least
-    ``_PIECE_CHARS`` characters, and at most that plus one row and its ``sep``.
+    ``_PIECE_CHARS`` characters of rows, and at most that plus one row and its ``sep``.
+    Every block after the first starts with its ``sep``, made in the same join, so the
+    writer gets one piece per block.
 
     Vertices of one class are twins, so row i is its class's list of neighbour tails from
     just past i. The head goes into the separator: one C-level join per row, not per edge.
@@ -146,15 +148,15 @@ def _edge_rows(q: TwinQuotient, heads: list[str], tails: list[str], sep: str) ->
         nbrs = np.flatnonzero(q.adjacent[c][q.class_of[mine[0] :]]) + mine[0]
         lists.append(tail_of[nbrs].tolist())
         start[mine] = np.searchsorted(nbrs, mine, side="right")
-    block, size = [], -len(sep)  # size is len(sep.join(block))
+    block, size = [], -len(sep)  # size is the length of the block's rows joined by sep
     for head, c, s in zip(heads, q.class_of.tolist(), start.tolist()):
         if s < len(lists[c]):
             block.append(head + (sep + head).join(lists[c][s:]))
             size += len(sep) + len(block[-1])
             if size >= _PIECE_CHARS:
                 yield sep.join(block)
-                block, size = [], -len(sep)
-    if block:
+                block, size = [""], -len(sep)  # the empty first slot puts sep in front
+    if size > -len(sep):  # a row since the last block
         yield sep.join(block)
 
 
@@ -174,8 +176,8 @@ def dot_pieces(t: ThetaGraph) -> Iterator[str]:
 
 def json_pieces(t: ThetaGraph) -> Iterator[str]:
     """The JSON document of ``export_json`` in pieces: the fields before
-    ``edges``, then the edge pairs in blocks of ``_edge_rows``, each after its
-    separator as a piece of its own, then the fields after.
+    ``edges``, then the edge pairs in blocks of ``_edge_rows``, then the fields
+    after.
 
     The text equals ``json.dumps(doc, indent=2) + "\\n"`` with ``edges`` a
     list of ``[i, j]`` pairs; only the small fields go through ``_json_text``.
@@ -189,13 +191,10 @@ def json_pieces(t: ThetaGraph) -> Iterator[str]:
         t.quotient, [f"    [\n      {i},\n      " for i in range(n)], [f"{j}\n    ]" for j in range(n)], ",\n"
     )
     # both dumps are "{\n" + top-level members + "\n}"; the edge rows go between them
-    yield before[:-2] + ',\n  "edges": ['
-    sep = "\n"
-    for block in rows:
-        yield sep  # on its own: prefixing it would copy the block
-        yield block
-        sep = ",\n"
-    yield ("]" if sep == "\n" else "\n  ]") + ",\n" + after[2:] + "\n"
+    edges = t.edge_count > 0
+    yield before[:-2] + ',\n  "edges": [' + ("\n" if edges else "")
+    yield from rows
+    yield ("\n  ]" if edges else "]") + ",\n" + after[2:] + "\n"
 
 
 def export_dot(t: ThetaGraph) -> str:

@@ -1,22 +1,23 @@
 """Finite groups reduced to labeled element-order profiles.
 
 The coprimality graph of a group depends only on element orders, so a group
-is stored as an int64 array of element orders, computed by a formula per
-family, plus family metadata; its labels are made only when read. Full
-multiplication tables are never kept here; tests rebuild them from the
-defining presentations where an independent oracle is wanted.
+is stored as an int64 array of element orders and the ascending array of its
+distinct orders, both computed by a formula per family, plus family
+metadata; its labels are made only when read. Full multiplication tables
+are never kept here; tests rebuild them from the defining presentations
+where an independent oracle is wanted.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from math import isqrt, lcm
 
 import numpy as np
 
-from .numtheory import is_one_or_prime, is_prime
+from .numtheory import divisors, is_one_or_prime, is_prime
 
 __all__ = [
     "FAMILIES",
@@ -85,14 +86,24 @@ class OrderClasses:
         distinct element of class j are joined, that is whether the gcd of the
         two orders is 1 or a prime. The gcd table is made in blocks of rows, so
         its temporaries stay small, each block from its diagonal on and mirrored
-        below it; primality is tested once per distinct gcd."""
-        k, verdict = len(self.orders), cache(is_one_or_prime)
+        below it. A gcd that is itself a class order takes that class's verdict.
+        In a group every gcd is one, since the orders are closed under divisors
+        (x^(o(x)/d) has order d); only the other gcds, of order lists that are
+        no group, are tested, once per distinct gcd in a block."""
+        k = len(self.orders)
         edge = np.empty((k, k), dtype=bool)
         for r in range(0, k, _GCD_BLOCK_ROWS):
             rows = slice(r, r + _GCD_BLOCK_ROWS)
-            gcds, gcd_of = np.unique(np.gcd.outer(self.orders[rows], self.orders[r:]), return_inverse=True)
-            edge[rows, r:] = np.array([verdict(v) for v in gcds.tolist()])[gcd_of].reshape(-1, k - r)
-            edge[r:, rows] = edge[rows, r:].T
+            gcds = np.gcd.outer(self.orders[rows], self.orders[r:])
+            at = np.searchsorted(self.orders, gcds)  # in range: a gcd is at most a class order
+            block, unknown = self.one_or_prime[at], self.orders[at] != gcds
+            if unknown.any():
+                rest = gcds[unknown]
+                others = np.unique(rest)
+                verdict = np.array([is_one_or_prime(v) for v in others.tolist()])
+                block[unknown] = verdict[np.searchsorted(others, rest)]
+            edge[rows, r:] = block
+            edge[r:, rows] = block.T
         edge.setflags(write=False)
         return edge
 
@@ -106,16 +117,20 @@ class OrderClasses:
 class GroupSpec:
     """A finite group as an array of element orders, with labels made on first read.
 
-    Exactly one element has order 1, and every order is positive. The
-    identity's index and the ``warnings`` are derived from the orders alone,
-    as the graph is. ``orders`` and ``labels`` read as tuples of Python ints
-    and strs, each made once; ``make_labels()`` gives the labels in element
-    order. Equality goes by identity.
+    Exactly one element has order 1, and every order is positive.
+    ``class_orders`` lists the distinct orders, ascending, as the family's
+    formula gives them; ``order_classes`` checks them against the elements
+    when it is first read. The identity's index and the ``warnings`` are
+    derived from the orders alone, as the graph is. ``orders`` and
+    ``labels`` read as tuples of Python ints and strs, each made once;
+    ``make_labels()`` gives the labels in element order. Equality goes by
+    identity.
     """
 
     family: str
     params: dict
     order_array: np.ndarray  # (n,) int64, read-only: the order of each element
+    class_orders: np.ndarray  # (k,) int64, read-only: the distinct element orders, ascending
     make_labels: Callable[[], tuple[str, ...]]
 
     def __post_init__(self):
@@ -127,8 +142,11 @@ class GroupSpec:
             raise ValueError(f"expected exactly one identity element, found {identities}")
         if orders.min() < 1:
             raise ValueError("element orders must be positive")
-        orders.setflags(write=False)
+        classes = np.asarray(self.class_orders, dtype=np.int64)
+        for a in (orders, classes):
+            a.setflags(write=False)
         object.__setattr__(self, "order_array", orders)
+        object.__setattr__(self, "class_orders", classes)
 
     @cached_property
     def orders(self) -> tuple[int, ...]:
@@ -166,13 +184,25 @@ class GroupSpec:
 
     @cached_property
     def order_classes(self) -> OrderClasses:
-        """The order classes, derived once per spec. Every group-side
-        criterion reads them, so primality is tested once per distinct
-        order, never once per element."""
-        orders, class_of = np.unique(self.order_array, return_inverse=True)
+        """The order classes, derived once per spec from ``class_orders``, with
+        no sort of the elements. Every group-side criterion reads them, so
+        primality is tested once per distinct order, never once per element.
+        Raises ValueError unless ``class_orders`` are a non-empty, strictly
+        ascending list that holds every element's order and no order without
+        an element."""
+        orders, k = self.class_orders, len(self.class_orders)
+        if orders.ndim != 1 or not k or (orders[1:] <= orders[:-1]).any():
+            raise ValueError("class_orders must be a non-empty, strictly ascending list of orders")
+        class_of = np.searchsorted(orders, self.order_array)
+        listed = orders.take(class_of, mode="clip") == self.order_array
+        if not listed.all():
+            i = int(np.argmin(listed))
+            raise ValueError(f"the order {self.order_array[i]} of element {i} is not in class_orders")
+        sizes = np.bincount(class_of, minlength=k)
+        if not sizes.all():
+            raise ValueError(f"class_orders list the order {orders[np.argmin(sizes)]}, which no element has")
         one_or_prime = np.array([is_one_or_prime(o) for o in orders.tolist()], dtype=bool)
-        sizes = np.bincount(class_of).astype(np.int64)
-        for a in (orders, class_of, one_or_prime, sizes):
+        for a in (class_of, one_or_prime, sizes):
             a.setflags(write=False)
         return OrderClasses(orders, class_of, one_or_prime, sizes)
 
@@ -210,11 +240,11 @@ def _cyclic_orders(n: int) -> np.ndarray:
 
 
 def cyclic(n: int) -> GroupSpec:
-    """Z_n under addition; element k has order n / gcd(n, k)."""
+    """Z_n under addition; element k has order n / gcd(n, k), so the orders are the divisors of n."""
     if n < 1:
         raise ValueError(f"cyclic requires n >= 1, got {n}")
     _check_size(f"cyclic({n})", n)
-    return GroupSpec("cyclic", {"n": n}, _cyclic_orders(n), lambda: tuple(map(str, range(n))))
+    return GroupSpec("cyclic", {"n": n}, _cyclic_orders(n), divisors(n), lambda: tuple(map(str, range(n))))
 
 
 def _power_labels(sym: str, n: int, prefix: str = "") -> list[str]:
@@ -232,7 +262,7 @@ def dihedral(n: int) -> GroupSpec:
         raise ValueError(f"dihedral requires n >= 1, got {n}")
     _check_size(f"dihedral({n})", 2 * n)
     orders = np.concatenate([_cyclic_orders(n), np.full(n, 2)])
-    return GroupSpec("dihedral", {"n": n}, orders,
+    return GroupSpec("dihedral", {"n": n}, orders, sorted({*divisors(n), 2}),
                      lambda: tuple(_power_labels("r", n) + _power_labels("r", n, "s")))
 
 
@@ -248,7 +278,7 @@ def dicyclic(n: int) -> GroupSpec:
         raise ValueError(f"dicyclic requires n >= 2, got {n}")
     _check_size(f"dicyclic({n})", 4 * n)
     orders = np.concatenate([_cyclic_orders(2 * n), np.full(2 * n, 4)])
-    return GroupSpec("dicyclic", {"n": n}, orders,
+    return GroupSpec("dicyclic", {"n": n}, orders, sorted({*divisors(2 * n), 4}),
                      lambda: tuple(_power_labels("a", 2 * n) + _power_labels("a", 2 * n, "x")))
 
 
@@ -268,7 +298,7 @@ def elementary_abelian(p: int, m: int) -> GroupSpec:
         raise ValueError(f"elementary_abelian requires m >= 1, got {m}")
     # p >= 2, so p**m is over the limit once m reaches its bit length; a huge m is never raised
     _check_size(f"elementary_abelian({p},{m})", p ** min(m, MAX_ELEMENTS.bit_length()))
-    return GroupSpec("elementary_abelian", {"p": p, "m": m}, _identity_then(p**m, p),
+    return GroupSpec("elementary_abelian", {"p": p, "m": m}, _identity_then(p**m, p), [1, p],
                      lambda: tuple(",".join(str(k // p**j % p) for j in range(m)) for k in range(p**m)))
 
 
@@ -288,17 +318,19 @@ def heisenberg(p: int) -> GroupSpec:
     orders = _identity_then(p**3, p)
     if p == 2:
         orders[[5, 7]] = 4
-    return GroupSpec("heisenberg", {"p": p}, orders,
+    return GroupSpec("heisenberg", {"p": p}, orders, [1, 2, 4] if p == 2 else [1, p],
                      lambda: tuple(f"({a},{b},{c})" for a in range(p) for b in range(p) for c in range(p)))
 
 
 def direct_product(g: GroupSpec, h: GroupSpec) -> GroupSpec:
-    """G x H, the pairs (a, b) with a major; the order of (a, b) is lcm(o(a), o(b))."""
+    """G x H, the pairs (a, b) with a major; the order of (a, b) is lcm(o(a), o(b)), so the
+    class orders are the distinct lcms of a class order of G and one of H."""
     _check_size(f"product({g.describe()},{h.describe()})", g.size * h.size)
-    if g.order_array.max() > MAX_ORDER // h.order_array.max():  # an lcm may pass int64
-        _check_max_order(max(lcm(x, y) for x in set(g.orders) for y in set(h.orders)))
+    if g.class_orders[-1] > MAX_ORDER // h.class_orders[-1]:  # an lcm may pass int64
+        _check_max_order(max(lcm(x, y) for x in g.class_orders.tolist() for y in h.class_orders.tolist()))
     return GroupSpec("product", {"left": g.describe(), "right": h.describe()},
                      np.lcm.outer(g.order_array, h.order_array).ravel(),
+                     sorted(set(np.lcm.outer(g.class_orders, h.class_orders).ravel().tolist())),
                      lambda: tuple(f"({la},{lb})" for la in g.labels for lb in h.labels))
 
 
@@ -329,7 +361,7 @@ def from_orders(labels: list[str], orders: list[int]) -> GroupSpec:
         array = np.array(orders, dtype=np.int64)
     except OverflowError:  # clipped into int64 range, so the spec's own checks still come first
         array = np.array(orders, dtype=object).clip(0, MAX_ORDER).astype(np.int64)
-    spec = GroupSpec("custom", {"n": n}, array, lambda: labels)
+    spec = GroupSpec("custom", {"n": n}, array, np.unique(array), lambda: labels)  # the one sort of n orders
     _check_max_order(max(orders))
     return spec
 

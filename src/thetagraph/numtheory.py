@@ -3,8 +3,8 @@
 Everything here is deterministic. Primality is a Miller-Rabin test on the
 twelve prime bases 2..37, which is exact below 3.18e23 and so for every
 element order a group may carry (at most 2**63 - 1); larger input is
-rejected rather than answered probabilistically. Factoring is trial
-division, used only on group sizes and spectral formulas.
+rejected rather than answered probabilistically. Factoring and listing
+divisors are trial division, used only on group sizes and spectral formulas.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 from math import gcd, isqrt, lcm
 
 __all__ = [
+    "divisors",
     "euler_phi",
     "factorize",
     "gcd",
@@ -95,6 +96,16 @@ def euler_phi(n: int) -> int:
     for p, _ in factorize(n):
         result = result // p * (p - 1)
     return result
+
+
+def divisors(n: int) -> tuple[int, ...]:
+    """The positive divisors of n >= 1, ascending, as exact ints, from the factorization of n."""
+    if n < 1:
+        raise ValueError(f"divisors requires n >= 1, got {n}")
+    found = [1]
+    for p, e in factorize(n) if n > 1 else ():
+        found += [d * p**i for i in range(1, e + 1) for d in found]
+    return tuple(sorted(found))
 
 
 def squarefree_split(n: int) -> tuple[int, int]:

@@ -30,7 +30,7 @@ from thetagraph.groups import (
     from_orders,
     heisenberg,
 )
-from thetagraph.numtheory import is_one_or_prime, is_prime
+from thetagraph.numtheory import divisors, is_one_or_prime, is_prime
 from thetagraph.verify import corrupting_builder
 
 
@@ -241,13 +241,23 @@ def test_exports_match_per_edge_reference_in_blocks_of_any_size(monkeypatch, cha
 
 
 def _edge_blocks(t, fmt):
-    """The edge pieces of t's export, each JSON one checked to follow its own separator piece."""
+    """The edge pieces of t's export, each JSON one after the first checked to start with its
+    separator, which is cut off."""
     if fmt == "dot":
         return list(dot_pieces(t))[1:-1]
     pieces = list(json_pieces(t))
-    blocks = pieces[2:-1:2]
-    assert pieces[1:-1:2] == ["\n"] + [",\n"] * (len(blocks) - 1)
-    return blocks
+    assert pieces[0].endswith('"edges": [\n') and not pieces[1].startswith(",\n")
+    assert all(block.startswith(",\n") for block in pieces[2:-1])
+    return pieces[1:2] + [block.removeprefix(",\n") for block in pieces[2:-1]]
+
+
+@pytest.mark.parametrize("chars", [1, 64, 2**18])
+def test_no_json_piece_holds_only_a_separator(monkeypatch, chars):
+    monkeypatch.setattr(thetagraph.graph, "_PIECE_CHARS", chars)
+    for t in (build_theta(cyclic(1)), build_theta(cyclic(2)), build_theta(dihedral(6)), build_theta(heisenberg(5))):
+        pieces = list(json_pieces(t))
+        assert "".join(pieces) == export_json(t)
+        assert not {"", "\n", ",\n"} & set(pieces)
 
 
 def _greedy_blocks(rows, sep, size):
@@ -441,6 +451,32 @@ def test_class_adjacency_is_the_gcd_rule_in_blocks_of_7_rows(monkeypatch):
         orders = [1] + sorted(rng.choice(np.arange(2, 720), size=k - 1, replace=False).tolist())
         oc = from_orders([f"g{i}" for i in range(k)], orders).order_classes
         assert oc.adjacent.tolist() == [[is_one_or_prime(math.gcd(a, b)) for b in orders] for a in orders], orders
+    # divisor-closed orders (the 30 divisors of 720, whose gcds are all class orders) among
+    # multiples of 7, two of which may have a gcd that is no class order: gcds known as class
+    # orders and gcds to be tested share a block
+    closed, mixed = set(divisors(720)), 0
+    for extra in [1, 2, 5, 13, *rng.integers(1, 40, size=12).tolist()]:
+        others = rng.choice(np.arange(14, 2000, 7), size=extra, replace=False)
+        orders = sorted(closed | set(others.tolist()))
+        oc = from_orders([f"g{i}" for i in range(len(orders))], orders).order_classes
+        assert oc.adjacent.tolist() == [[is_one_or_prime(math.gcd(a, b)) for b in orders] for a in orders], orders
+        mixed += any(math.gcd(a, b) not in orders for a in orders for b in orders)
+    assert mixed >= 10
+
+
+def test_a_group_tests_only_its_class_orders_for_primality(monkeypatch):
+    # the orders of a group are closed under divisors, so every gcd of two is a class order
+    calls = []
+
+    def counting(v):
+        calls.append(v)
+        return is_one_or_prime(v)
+
+    monkeypatch.setattr(thetagraph.groups, "is_one_or_prime", counting)
+    for _, family, params, g in enumerate_groups(200, FAMILIES):
+        calls.clear()
+        g.order_classes.adjacent
+        assert calls == g.class_orders.tolist(), (family, params)
 
 
 _JSON_SCALARS = (

@@ -24,7 +24,7 @@ from thetagraph.groups import (
     heisenberg,
     order_profile,
 )
-from thetagraph.numtheory import is_prime
+from thetagraph.numtheory import divisors, euler_phi, is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +382,7 @@ def test_product_with_a_lagrange_violating_factor_keeps_its_warnings():
 
 
 def test_group_spec_holds_only_what_it_is_given():
-    fields = ["family", "params", "order_array", "make_labels"]
+    fields = ["family", "params", "order_array", "class_orders", "make_labels"]
     assert [f.name for f in dataclasses.fields(GroupSpec)] == fields
     g = from_orders(["e", "a"], [1, 3])
     assert g.warnings is g.warnings  # computed once
@@ -390,8 +390,69 @@ def test_group_spec_holds_only_what_it_is_given():
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(g, name, value)
         with pytest.raises(TypeError):
-            GroupSpec("custom", {"n": 2}, np.array([1, 3]), lambda: ("e", "a"), **{name: value})
-    assert not g.order_array.flags.writeable
+            GroupSpec("custom", {"n": 2}, np.array([1, 3]), [1, 3], lambda: ("e", "a"), **{name: value})
+    assert not g.order_array.flags.writeable and not g.class_orders.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# class orders by formula, against the elements
+# ---------------------------------------------------------------------------
+
+
+def test_class_orders_by_formula_are_the_distinct_element_orders_of_every_group_to_600():
+    keys = group_keys(600, FAMILIES)
+    for _, family, params, build, args in keys:
+        g = build(*args)
+        distinct, counts = np.unique(g.order_array, return_counts=True)
+        assert g.class_orders.dtype == np.int64 and not g.class_orders.flags.writeable, params
+        assert g.class_orders.tolist() == distinct.tolist(), (family, params)
+        assert g.order_classes.sizes.tolist() == counts.tolist(), (family, params)
+        profile = order_profile(g)
+        if family == "cyclic":
+            assert profile == {d: euler_phi(d) for d in divisors(*args)}, params
+        elif family == "dihedral":
+            assert profile == Counter(order_profile(cyclic(*args))) + Counter({2: args[0]}), params
+        elif family == "dicyclic":
+            assert profile == Counter(order_profile(cyclic(2 * args[0]))) + Counter({4: 2 * args[0]}), params
+    assert {family for _, family, *_ in keys} == set(FAMILIES)
+
+
+@pytest.mark.parametrize(
+    "class_orders, message",
+    [
+        ([1, 3], "the order 2 of element 2 is not in class_orders"),  # an element's order left out
+        ([1, 2], "the order 3 of element 1 is not in class_orders"),  # past the largest listed
+        ([1, 2, 3, 5], "class_orders list the order 5, which no element has"),
+        ([1, 2, 3, 4], "class_orders list the order 4, which no element has"),
+        ([1, 3, 2], "strictly ascending"),
+        ([1, 2, 2, 3], "strictly ascending"),
+        ([[1, 2, 3]], "strictly ascending"),
+        ([], "non-empty"),
+    ],
+)
+def test_class_orders_that_do_not_match_the_elements_raise(class_orders, message):
+    g = GroupSpec("custom", {"n": 4}, np.array([1, 3, 2, 3]), class_orders, lambda: ("e", "a", "b", "c"))
+    with pytest.raises(ValueError, match=message):
+        g.order_classes
+    with pytest.raises(ValueError, match=message):
+        build_theta(g)
+
+
+def test_no_built_in_family_sorts_its_elements_to_find_its_classes(monkeypatch):
+    # only from_orders, whose orders are the user's, sorts its n orders, once
+    sorted_sizes = []
+    unique = np.unique
+
+    def counting(values, *args, **kwargs):
+        sorted_sizes.append(np.size(values))
+        return unique(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting)
+    for _, family, params, build, args in group_keys(200, FAMILIES):
+        build(*args).order_classes.adjacent
+        assert sorted_sizes == [], (family, params)
+    from_orders(["e", "a", "b", "c"], [1, 3, 2, 3]).order_classes.adjacent
+    assert sorted_sizes == [4]
 
 
 

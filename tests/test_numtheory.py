@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from thetagraph.numtheory import (
+    divisors,
     euler_phi,
     factorize,
     gcd,
@@ -67,6 +68,19 @@ def test_is_one_or_prime(n, expected):
 @pytest.mark.parametrize("n, expected", [(1, 1), (6, 2), (9, 6)])
 def test_euler_phi_examples(n, expected):
     assert euler_phi(n) == expected
+
+
+def test_divisors_equal_a_brute_count_up_to_5000():
+    for n in range(1, 5001):
+        assert divisors(n) == tuple(d for d in range(1, n + 1) if n % d == 0), n
+
+
+def test_divisors_are_exact_past_int64():
+    n = 2**64 * 3**2  # past int64: the divisors are Python ints, never floats
+    assert len(divisors(n)) == 65 * 3 and divisors(n)[-2:] == (n // 2, n)
+    assert all(type(d) is int and n % d == 0 for d in divisors(n))
+    with pytest.raises(ValueError, match="n >= 1"):
+        divisors(0)
 
 
 def test_euler_phi_equals_brute_count_up_to_10000():
