@@ -1,12 +1,12 @@
 """Exact structural decisions for prime coprime graphs.
 
-Most predicates are decided twice: once from the graph (degrees, flow,
-search) and once from the group's order profile via the matching
-characterization. The two routes are cross-asserted; a disagreement raises
-CrossCheckError, which always signals an implementation bug rather than bad
-input. Connectedness, diameter and girth are read off the universal
-vertices, which the identity guarantees; a graph with none raises
-CrossCheckError too.
+Most predicates are decided twice: once from the graph's twin quotient
+(class degrees, flow, search; never the n x n view) and once from the
+group's order profile via the matching characterization. The two routes are
+cross-asserted; a disagreement raises CrossCheckError, which always signals
+an implementation bug rather than bad input. Connectedness, diameter and
+girth are read off the universal vertices, which the identity guarantees; a
+graph with none raises CrossCheckError too, as does planarity on n >= 5 with one.
 """
 
 from __future__ import annotations
@@ -60,14 +60,17 @@ def _agree(
 ) -> bool:
     """The graph side of a criterion, once the group side agrees with it.
     A criterion of one vertex names the vertex instead of the two sides."""
-    if graph_side == group_side:
-        return graph_side
-    detail = f"{what} criteria disagree on {t.group.describe()}" + (
-        f": graph={graph_side} group={group_side}" if vertex is None else f" at vertex {vertex}"
-    )
-    if "custom(" in t.group.describe():  # a custom order list, alone or as a product factor
+    if graph_side != group_side:
+        raise _contradiction(t, f"{what} criteria disagree on {t.group.describe()}" + (
+            f": graph={graph_side} group={group_side}" if vertex is None else f" at vertex {vertex}"))
+    return graph_side
+
+
+def _contradiction(t: ThetaGraph, detail: str) -> CrossCheckError:
+    """The error for a graph that contradicts its group side, with a hint on a custom order list."""
+    if "custom(" in t.group.describe():
         detail += "; the supplied order list is likely not the order profile of any finite group"
-    raise CrossCheckError(detail)
+    return CrossCheckError(detail)
 
 
 def _once_per_graph(fn):
@@ -91,8 +94,8 @@ def _universal(t: ThetaGraph) -> None:
     """Check for a universal vertex (degree n - 1) on the class degrees. In Θ(G)
     the identity is one, as gcd(1, m) = 1; a graph with none contradicts the group side."""
     if not (t.quotient.degrees == t.n_vertices - 1).any():
-        raise CrossCheckError(
-            f"no universal vertex in the graph of {t.group.describe()}; the identity should be universal"
+        raise _contradiction(
+            t, f"no universal vertex in the graph of {t.group.describe()}; the identity should be universal"
         )
 
 
@@ -217,8 +220,8 @@ def _planar_graph_side(t: ThetaGraph) -> tuple[bool, str]:
       H gives K_{3,3}, a cycle in H gives K_5 (triangle) or K_{3,3}, and K_2
       joined to paths is drawn with one universal vertex on each side.
 
-    Only |U| <= 1 on five or more vertices goes to the left-right planarity
-    test of networkx, imported there and nowhere else.
+    |U| <= 1 on n >= 5 raises CrossCheckError: in Θ(G), the identity and, by
+    Cauchy, an element of prime order p are universal, as gcd(1, m) = 1 and gcd(p, m) | p.
     """
     n, m, q = t.n_vertices, t.edge_count, t.quotient
     if n >= 3 and m > 3 * n - 6:
@@ -233,13 +236,8 @@ def _planar_graph_side(t: ThetaGraph) -> tuple[bool, str]:
         h_edges = m - (2 * n - 3)  # not in H: the edge inside U and two edges to U at each vertex of H
         linear = bool((q.degrees[in_h] - 2 <= 2).all()) and h_edges == n - 2 - _components_left(q, q.sizes * in_h)
         return linear, "universal_vertices"
-    import networkx as nx
-
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    g.add_edges_from(t.edges())
-    ok, _ = nx.check_planarity(g, counterexample=False)
-    return bool(ok), "left_right"
+    raise _contradiction(t, f"at most one universal vertex on {n} vertices in the graph of {t.group.describe()}; "
+                         "the identity and an element of prime order should be universal")
 
 
 def planarity_decision(t: ThetaGraph) -> tuple[bool, str]:

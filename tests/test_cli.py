@@ -570,6 +570,17 @@ def test_analyze_profile_with_a_false_planarity_criterion_exits_2(tmp_path, caps
     assert "planarity criteria disagree" in err and "not the order profile" in err
 
 
+def test_analyze_profile_with_one_universal_vertex_exits_2(tmp_path, capsys):
+    # only the identity is universal: no group's graph, whose identity and elements
+    # of prime order are universal, so no planarity rule decides it
+    path = tmp_path / "fake.json"
+    orders = [1, 4, 4, 4, 9, 9, 9, 36]
+    path.write_text(json.dumps({"labels": [f"g{k}" for k in range(8)], "orders": orders}))
+    code, out, err = run_cli(capsys, "analyze", "--custom", str(path), "--no-timestamp")
+    assert code == 2 and out == ""
+    assert "at most one universal vertex on 8 vertices" in err and "not the order profile" in err
+
+
 # ---------------------------------------------------------------------------
 # selectors
 # ---------------------------------------------------------------------------
@@ -971,26 +982,40 @@ def test_emit_writes_pieces_byte_for_byte_to_a_file_and_to_stdout(tmp_path, caps
     assert capsysbinary.readouterr().out == want
 
 
-NETWORKX_PROBE_SCRIPT = """
-import sys
+NO_NETWORKX_SCRIPT = """
+import contextlib, hashlib, io, json, sys
+sys.modules["networkx"] = None  # from here on, importing networkx raises ImportError
 from thetagraph.cli import main
-loaded = ["networkx" in sys.modules]
-for argv in (["analyze", "--no-timestamp", "--cyclic", "16"], ["verify", "--suite", "properties"]):
-    code = main(argv)
-    loaded.append("networkx" in sys.modules)
-sys.stdout.flush()
-print(code, *loaded, file=sys.stderr)
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    runs.append([code, hashlib.sha256(out.getvalue().encode()).hexdigest()])
+print(json.dumps(runs))
 """
 
 
-def test_commands_on_built_in_groups_never_import_networkx():
-    # planarity of a built-in group is decided by its universal vertices; only
-    # the left-right test needs networkx, and it alone imports it
+def test_commands_on_built_in_groups_never_import_networkx(tmp_path):
+    # networkx is a test oracle, not a runtime dependency: every command runs with its import blocked
+    argvs = [
+        *(["analyze", "--no-timestamp", f"--{fam}", str(n)]
+          for fam, n in (("dihedral", 60), ("dicyclic", 15), ("heisenberg", 7), ("dihedral", 35))),
+        ["spectrum", "--dihedral", "6"],
+        ["export", "--format", "json", "--cyclic", "12"],
+        ["export", "--format", "dot", "--product", "cyclic:30", "cyclic:35"],
+        ["search", "--max-order", "64", "--out", str(tmp_path / "search.csv")],
+        ["verify", "--suite", "all"],
+        ["verify", "--suite", "all", "--corrupt"],
+    ]
     proc = subprocess.run(
-        [sys.executable, "-c", NETWORKX_PROBE_SCRIPT],
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=_child_env(), check=True,
+        [sys.executable, "-c", NO_NETWORKX_SCRIPT, json.dumps(argvs)],
+        capture_output=True, text=True, env=_child_env(), check=True,
     )
-    assert proc.stderr.split() == ["0", "False", "False", "False"]
+    runs = json.loads(proc.stdout)
+    assert [code for code, _ in runs] == [0] * (len(argvs) - 1) + [2]
+    assert runs[-1][1] == CORRUPT_ALL_SHA256
+    assert (tmp_path / "search.csv").stat().st_size > 0
 
 
 @pytest.mark.parametrize(

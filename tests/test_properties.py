@@ -313,18 +313,34 @@ def _nx_planar(t):
     return bool(nx.check_planarity(_nx_graph(t))[0])
 
 
+def _no_rule_decides(t):
+    """At most one universal vertex on five or more vertices, within the edge
+    bound: no planarity rule decides such a graph, and no group has one."""
+    n = t.n_vertices
+    return n >= 5 and t.edge_count <= 3 * n - 6 and int((t.degrees == n - 1).sum()) <= 1
+
+
 def test_planar_graph_side_matches_networkx_on_all_small_groups():
-    planar = set()
+    planar, raised = set(), set()
     for _, family, params, g in groups.enumerate_groups(200, groups.FAMILIES):
         for build in (build_theta, corrupting_builder):
             t = build(g)
+            if _no_rule_decides(t):
+                with pytest.raises(CrossCheckError, match="universal vertex on"):
+                    _planar_graph_side(t)
+                raised.add((build.__name__, family, params))
+                continue
             value, method = _planar_graph_side(t)
             assert value is _nx_planar(t), (g.describe(), build.__name__)
             if build is build_theta:
-                assert method != "left_right", g.describe()
                 assert planarity_decision(t) == (value, method)
                 if value:
                     planar.add((family, params))
+    # the flipped bit is an edge of the identity, which leaves one universal vertex where
+    # Θ(G) had two: the cyclic 2-groups and the generalised quaternion groups, from order 8 on
+    assert raised == {("corrupting_builder", "cyclic", f"n={2**k}") for k in range(3, 8)} | {
+        ("corrupting_builder", "dicyclic", f"n={2**j}") for j in range(1, 6)
+    }
     # |G| <= 4, the cyclic 2-groups and the generalised quaternion groups dicyclic(2^j)
     expected = {
         (family, params)
@@ -354,14 +370,20 @@ def _join_k2(h):
         (_join_k2(nx.disjoint_union(nx.cycle_graph(3), nx.empty_graph(2))), False, "universal_vertices"),
         (nx.complete_multipartite_graph(1, 1, 1, 2), True, "universal_vertices"),  # K_5 minus an edge
         (nx.complete_multipartite_graph(1, 1, 1, 3), False, "universal_vertices"),  # K_2 + K_{1,3}
-        (nx.complete_bipartite_graph(3, 3), False, "left_right"),
-        (nx.wheel_graph(7), True, "left_right"),  # only the hub is universal
-        (nx.cycle_graph(6), True, "left_right"),
+        # at most one universal vertex on five or more: the graph of no group, so no rule decides it
+        (nx.complete_bipartite_graph(3, 3), False, "raises"),
+        (nx.wheel_graph(7), True, "raises"),  # only the hub is universal
+        (nx.cycle_graph(6), True, "raises"),
     ],
 )
 def test_planarity_methods_on_hand_built_graphs(h, expected, method):
     t = _theta_from_nx(h)
-    assert _planar_graph_side(t) == (expected, method)
+    assert _no_rule_decides(t) is (method == "raises")
+    if method == "raises":
+        with pytest.raises(CrossCheckError, match="universal vertex on"):
+            _planar_graph_side(t)
+    else:
+        assert _planar_graph_side(t) == (expected, method)
     assert _nx_planar(t) is expected
 
 
