@@ -59,11 +59,6 @@ class ThetaGraph:
     def edge_count(self) -> int:
         return int(self.quotient.degrees @ self.quotient.sizes) // 2
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Edge list with i < j, ascending."""
-        ii, jj = np.nonzero(np.triu(self.adj, k=1))
-        return list(zip(ii.tolist(), jj.tolist()))
-
 
 def build_theta(g: GroupSpec) -> ThetaGraph:
     """The graph of g over its order classes, whose quotient is made once per group."""
@@ -126,8 +121,8 @@ def _json_key(key) -> str:
 
 
 # The edge rows go to the writer in blocks of at least this many characters, as each piece
-# costs it about one OS write. Writing the K_1331 JSON export (30 MB) to a file took 42 ms
-# a row at a time, 38 ms in 64 KiB blocks, 34 ms in 256 or 512 KiB blocks and 41 ms in
+# costs it about one OS write. Writing the K_1331 JSON export (30 MB) to a file took 56 ms
+# a row at a time, 52 ms in 64 KiB blocks, 48 ms in 256 or 512 KiB blocks and 80 ms in
 # 1 MiB blocks (2-vCPU VM, median of 40). A block is all the memory that streaming adds.
 _PIECE_CHARS = 2**18
 
@@ -139,25 +134,29 @@ def _edge_rows(q: TwinQuotient, heads: list[str], tails: list[str], sep: str) ->
     Every block after the first starts with its ``sep``, made in the same join, so the
     writer gets one piece per block.
 
-    Vertices of one class are twins, so row i is its class's list of neighbour tails from
-    just past i. The head goes into the separator: one C-level join per row, not per edge.
+    Vertices of one class are twins, met in vertex order: row i drops its class's tail list
+    in place up to just past i, joins the rest with its head in the separator, and goes into
+    the block as separator, head and row, so the block's join copies the row's text once.
     """
-    tail_of, lists, start = np.array(tails, dtype=object), [], np.empty(len(tails), dtype=np.int64)
+    tail_of, lists, skip = np.array(tails, dtype=object), [], np.empty(len(tails), dtype=np.int64)
     for c in range(len(q.adjacent)):
         mine = np.flatnonzero(q.class_of == c)  # no row of c starts before its first member
         nbrs = np.flatnonzero(q.adjacent[c][q.class_of[mine[0] :]]) + mine[0]
         lists.append(tail_of[nbrs].tolist())
-        start[mine] = np.searchsorted(nbrs, mine, side="right")
-    block, size = [], -len(sep)  # size is the length of the block's rows joined by sep
-    for head, c, s in zip(heads, q.class_of.tolist(), start.tolist()):
-        if s < len(lists[c]):
-            block.append(head + (sep + head).join(lists[c][s:]))
-            size += len(sep) + len(block[-1])
+        skip[mine] = np.diff(np.searchsorted(nbrs, mine, side="right"), prepend=0)  # beyond c's previous row
+    block, size, lead = [], -len(sep), ""  # size is the length of the block's rows joined by sep
+    for head, c, k in zip(heads, q.class_of.tolist(), skip.tolist()):
+        del lists[c][:k]
+        if lists[c]:
+            row = (sep + head).join(lists[c])
+            block += (lead, head, row)  # lead is sep but before the export's first row
+            lead = sep
+            size += len(sep) + len(head) + len(row)
             if size >= _PIECE_CHARS:
-                yield sep.join(block)
-                block, size = [""], -len(sep)  # the empty first slot puts sep in front
-    if size > -len(sep):  # a row since the last block
-        yield sep.join(block)
+                yield "".join(block)
+                block, size = [], -len(sep)
+    if block:  # a row since the last block
+        yield "".join(block)
 
 
 def _dot_id(label: str) -> str:

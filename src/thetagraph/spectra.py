@@ -326,17 +326,16 @@ def spectrum_contains(sub: SpectrumResult, full: SpectrumResult, tol: float) -> 
     multiplicity, by an eigenvalue of full within tol.
 
     In ascending order, each value of sub takes the smallest unmatched value
-    of full that is at least value - tol. All windows have the same width,
-    so this greedy matching finds one whenever one exists."""
-    values = sorted(v for v, m in sub.numeric_items() for _ in range(m))
-    pool = sorted(v for v, m in full.numeric_items() for _ in range(m))
-    j = 0
-    for value in values:
-        while j < len(pool) and value - pool[j] > tol:
-            j += 1
-        if j == len(pool) or pool[j] - value > tol:
-            return False
-        j += 1
+    of full that is at least value - tol, a run of equal values at a time. All
+    windows have the same width, so this greedy matching finds one whenever one exists."""
+    pool, j = [[v, m] for v, m in sorted(full.numeric_items())], 0  # [value, copies unmatched]
+    for value, m in sorted(sub.numeric_items()):
+        while m > 0:
+            while j < len(pool) and (pool[j][1] == 0 or value - pool[j][0] > tol):
+                j += 1
+            if j == len(pool) or pool[j][0] - value > tol:
+                return False
+            m, pool[j][1] = max(m - pool[j][1], 0), max(pool[j][1] - m, 0)
     return True
 
 

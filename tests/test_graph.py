@@ -33,6 +33,8 @@ from thetagraph.groups import (
 from thetagraph.numtheory import divisors, is_one_or_prime, is_prime
 from thetagraph.verify import corrupting_builder
 
+from dense_view import edge_list
+
 
 def test_theta_z6_is_k6_minus_generator_edge():
     t = build_theta(cyclic(6))
@@ -133,7 +135,7 @@ def _reference_export_dot(t):
     lines = ["graph theta {"]
     for label in t.group.labels:
         lines.append(f'  "{label}";')
-    for i, j in t.edges():
+    for i, j in edge_list(t):
         lines.append(f'  "{t.group.labels[i]}" -- "{t.group.labels[j]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -148,7 +150,7 @@ def _reference_export_json(t):
         },
         "labels": list(t.group.labels),
         "orders": list(t.group.orders),
-        "edges": [[i, j] for i, j in t.edges()],
+        "edges": [[i, j] for i, j in edge_list(t)],
         "degrees": t.degrees.tolist(),
         "warnings": [{"code": c, "message": m} for c, m in t.group.warnings],
     }
@@ -200,6 +202,34 @@ def test_exports_match_per_edge_reference_on_any_order_list(orders):
     # the order lists of tests/test_random_graphs.py
     labels = [f"g{k}" for k in range(len(orders) + 1)]
     _assert_exports_match_reference(build_theta(from_orders(labels, [1] + orders)))
+
+
+@st.composite
+def _twin_matrices(draw):
+    """A symmetric zero-diagonal 0/1 matrix on 1 to 40 vertices, each of one of a few kinds,
+    joined by kind, then with a few pairs flipped. The vertices of a kind with no edge inside
+    it have equal rows, so the classes have many members, interleave, and most rows start in
+    the middle of their class's list."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 6))
+    kind = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    joined = np.array(draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k))).reshape(k, k)
+    adj = (joined | joined.T)[np.ix_(kind, kind)]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4)):
+        adj[i, j] = adj[j, i] = not adj[i, j]
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+@settings(deadline=None, max_examples=100)
+@given(_twin_matrices(), st.integers(1, 512))
+def test_exports_match_per_edge_reference_on_any_matrix_in_blocks_of_any_size(adj, chars):
+    # each row drops the front of its class's list up to its start: the classes of a matrix
+    # are its own, not order classes, and the block size sets where each block closes
+    t = from_adjacency(cyclic(len(adj)), adj)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(thetagraph.graph, "_PIECE_CHARS", chars)
+        _assert_exports_match_reference(t)
 
 
 def test_exports_match_per_edge_reference_on_a_corrupted_graph_of_every_group_to_32():
@@ -333,7 +363,7 @@ def test_export_dot_escapes_quotes_and_backslashes_in_ids():
         assert re.fullmatch(rf'  {_DOT_QUOTED_ID.pattern}( -- {_DOT_QUOTED_ID.pattern})?;', line), line
         ids.append([re.sub(r"\\(.)", r"\1", m) for m in _DOT_QUOTED_ID.findall(line)])
     assert ids[:3] == [["e"], ['a"b'], ["c\\"]]
-    assert ids[3:] == [[labels[i], labels[j]] for i, j in t.edges()]
+    assert ids[3:] == [[labels[i], labels[j]] for i, j in edge_list(t)]
 
 
 def test_export_json_edge_counts():
@@ -431,7 +461,7 @@ def test_primality_is_decided_per_distinct_gcd(monkeypatch):
     monkeypatch.setattr(thetagraph.groups, "is_one_or_prime", counting)
     t = build_theta(from_orders(["e", "a", "b"], [1, 10**6, 10**6]))
     assert len(calls) <= 2 * 2
-    assert t.edges() == [(0, 1), (0, 2)]
+    assert edge_list(t) == [(0, 1), (0, 2)]
 
 
 def test_class_adjacency_is_the_gcd_rule_across_row_blocks():

@@ -45,11 +45,13 @@ from thetagraph.properties import (
 )
 from thetagraph.verify import corrupting_builder
 
+from dense_view import edge_list
+
 
 def _nx_graph(t):
     g = nx.Graph()
     g.add_nodes_from(range(t.n_vertices))
-    g.add_edges_from(t.edges())
+    g.add_edges_from(edge_list(t))
     return g
 
 

@@ -36,6 +36,8 @@ from thetagraph.properties import (
 )
 from thetagraph.verify import corrupting_builder
 
+from dense_view import edge_list
+
 ORDER_POOL = (2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 25, 35)
 
 
@@ -47,7 +49,7 @@ def _graph_from_orders(orders):
 def _nx_graph(t):
     g = nx.Graph()
     g.add_nodes_from(range(t.n_vertices))
-    g.add_edges_from(t.edges())
+    g.add_edges_from(edge_list(t))
     return g
 
 

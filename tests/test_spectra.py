@@ -508,6 +508,41 @@ def test_spectrum_contains_multiplicity_overflow():
     assert spectrum_contains(sub, SpectrumResult(((1.5, 1), (0.5, 1)), "numeric"), 1.0)
 
 
+def _expanded_contains(sub, full, tol):
+    """spectrum_contains as it was: each eigenvalue written out m times, then the same greedy rule."""
+    values = sorted(v for v, m in sub.numeric_items() for _ in range(m))
+    pool = sorted(v for v, m in full.numeric_items() for _ in range(m))
+    j = 0
+    for value in values:
+        while j < len(pool) and value - pool[j] > tol:
+            j += 1
+        if j == len(pool) or pool[j] - value > tol:
+            return False
+        j += 1
+    return True
+
+
+# runs on a grid of tenths, so values meet, tie and sit at the edge of a window; a value may
+# come in two runs, and a run may be empty
+_runs = st.lists(st.tuples(st.integers(-20, 20).map(lambda k: k / 10), st.integers(0, 4)), max_size=8)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_runs, _runs, st.sampled_from((0.0, 0.1, 0.25, 0.3, 1.0)))
+def test_spectrum_contains_matches_the_expanded_greedy_on_any_runs(sub, full, tol):
+    sub, full = SpectrumResult(tuple(sub), "numeric"), SpectrumResult(tuple(full), "numeric")
+    assert spectrum_contains(sub, full, tol) == _expanded_contains(sub, full, tol)
+    assert spectrum_contains(sub, sub, tol)
+
+
+def test_spectrum_contains_works_in_runs_not_copies():
+    # a billion copies of each value: writing them out would take minutes and gigabytes
+    full = SpectrumResult(((3.0, 10**9), (1.0, 2 * 10**9)), "numeric")
+    assert spectrum_contains(SpectrumResult(((1.0, 2 * 10**9), (3.0, 10**9 - 1)), "numeric"), full, TOL)
+    assert not spectrum_contains(SpectrumResult(((1.0, 2 * 10**9 + 1),), "numeric"), full, TOL)
+    assert spectrum_contains(SpectrumResult(((1.0, 2 * 10**9 + 1),), "numeric"), full, 2.0)
+
+
 def test_spectrum_contains_reflexive():
     s = eig_sym(build_Q(build_theta(cyclic(9))))
     assert spectrum_contains(s, s, TOL)
