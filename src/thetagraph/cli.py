@@ -19,7 +19,7 @@ import time
 
 from . import groups, verify
 from .analysis import analyze_group, spectrum_section
-from .graph import _json_text, build_theta, dot_pieces, json_pieces, prime_order_set
+from .graph import _json_text, build_theta, dot_pieces, json_pieces, prime_order_count
 from .properties import (
     DEFAULT_NODE_BUDGET,
     CrossCheckError,
@@ -313,7 +313,7 @@ def _cmd_search(args) -> int:
                 "order": order,
                 "complete": is_complete(t),
                 "kappa": vertex_connectivity(t).kappa,
-                "s_size": len(prime_order_set(t)),
+                "s_size": prime_order_count(t),
                 "class": open_problem_classify(t),
             }
             record["ms"] = int(round((time.perf_counter() - started) * 1000))

@@ -26,6 +26,7 @@ __all__ = [
     "export_json",
     "from_adjacency",
     "json_pieces",
+    "prime_order_count",
     "prime_order_set",
 ]
 
@@ -57,7 +58,7 @@ class ThetaGraph:
 
     @property
     def edge_count(self) -> int:
-        return int(self.quotient.degrees @ self.quotient.sizes) // 2
+        return self.quotient.edge_count
 
 
 def build_theta(g: GroupSpec) -> ThetaGraph:
@@ -82,6 +83,12 @@ def prime_order_set(t: ThetaGraph) -> frozenset[int]:
     """S(G): the indices of the identity and of all prime-order elements."""
     oc = t.group.order_classes
     return frozenset(np.flatnonzero(oc.one_or_prime[oc.class_of]).tolist())
+
+
+def prime_order_count(t: ThetaGraph) -> int:
+    """|S(G)|, summed over the order classes of order 1 or a prime."""
+    oc = t.group.order_classes
+    return int(oc.sizes[oc.one_or_prime].sum())
 
 
 # the text of each exact scalar type; a subclass of one is left to json.dumps

@@ -62,6 +62,33 @@ class TwinQuotient:
         for a in (self.class_of, self.adjacent, self.sizes, self.degrees):
             a.setflags(write=False)
 
+    # The class searches read the k-sized facts below, each a Python value made on first read:
+    # at k of 2 to 48, numpy's per-call cost outweighs the work on arrays this small.
+
+    @cached_property
+    def rows(self) -> list[int]:
+        """The neighbour classes of each class as one int: bit j of ``rows[c]`` is set when
+        class j != c is joined to c. The diagonal is kept apart, in ``cliques``."""
+        packed = np.packbits(self.adjacent, axis=1, bitorder="little")
+        return [int.from_bytes(row, "little") & ~(1 << c) for c, row in enumerate(packed)]
+
+    @cached_property
+    def cliques(self) -> int:
+        """The clique classes, whose members are joined to each other, as bits."""
+        return int.from_bytes(np.packbits(self.adjacent.diagonal(), bitorder="little"), "little")
+
+    @cached_property
+    def size_list(self) -> list[int]:
+        return self.sizes.tolist()
+
+    @cached_property
+    def degree_list(self) -> list[int]:
+        return self.degrees.tolist()
+
+    @cached_property
+    def edge_count(self) -> int:
+        return sum(map(int.__mul__, self.degree_list, self.size_list)) // 2
+
     @cached_property
     def expansion(self) -> np.ndarray:
         """(n, n) bool, read-only: the adjacency matrix, made on first use."""

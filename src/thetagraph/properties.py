@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
+from collections import Counter, deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, combinations
 
 import numpy as np
 
-from .graph import ThetaGraph, prime_order_set
+from .graph import ThetaGraph, prime_order_count
 from .groups import TwinQuotient
 
 __all__ = [
@@ -93,7 +94,7 @@ def _once_per_graph(fn):
 def _universal(t: ThetaGraph) -> None:
     """Check for a universal vertex (degree n - 1) on the class degrees. In Θ(G)
     the identity is one, as gcd(1, m) = 1; a graph with none contradicts the group side."""
-    if not (t.quotient.degrees == t.n_vertices - 1).any():
+    if t.n_vertices - 1 not in t.quotient.degree_list:
         raise _contradiction(
             t, f"no universal vertex in the graph of {t.group.describe()}; the identity should be universal"
         )
@@ -134,22 +135,43 @@ def components_after_removal(t: ThetaGraph, removed) -> int:
     bad = removed[(removed < 0) | (removed >= n)]
     if bad.size:
         raise IndexError(f"vertex index out of range: {bad[0]}")
-    return _components_left(q, q.sizes - np.bincount(q.class_of[np.unique(removed)], minlength=len(q.sizes)))
+    left = (q.sizes - np.bincount(q.class_of[np.unique(removed)], minlength=len(q.sizes))).tolist()
+    return _components_left(q, {c: r for c, r in enumerate(left) if r})
 
 
-def _components_left(q: TwinQuotient, left: np.ndarray) -> int:
-    """Connected components of the blow-up of q with left[c] vertices kept in class c, searched on those classes."""
-    kept = np.flatnonzero(left)
-    joined = q.adjacent[np.ix_(kept, kept)] & ~np.eye(len(kept), dtype=bool)
-    count = int((left[kept] - 1)[~joined.any(axis=1) & ~q.adjacent[kept, kept]].sum())
-    reached = np.zeros(len(kept), dtype=bool)
-    while not reached.all():
+def _bits(b: int) -> Iterator[int]:
+    """The set bits of b >= 0, ascending."""
+    while b:
+        yield (b & -b).bit_length() - 1
+        b &= b - 1
+
+
+def _bitset(classes) -> int:
+    """The classes given, as the set bits of one int."""
+    return sum(1 << c for c in classes)
+
+
+def _components_left(q: TwinQuotient, left: dict[int, int]) -> int:
+    """Connected components of the blow-up of q with left[c] > 0 vertices kept in class c,
+    searched on those classes alone, a row of neighbour classes at a time."""
+    rows, kept = q.rows, _bitset(left)
+    count = sum(r - 1 for c, r in left.items() if not rows[c] & kept and not q.cliques >> c & 1)
+    unseen = kept
+    while unseen:
         count += 1
-        frontier = np.arange(len(kept)) == np.argmin(reached)  # the first class not reached
-        while frontier.any():  # one numpy step per BFS level over the classes
-            reached |= frontier
-            frontier = joined[frontier].any(axis=0) & ~reached
+        stack = [(unseen & -unseen).bit_length() - 1]  # the first class not reached
+        unseen &= unseen - 1
+        while stack:
+            found = rows[stack.pop()] & unseen
+            unseen ^= found
+            stack.extend(_bits(found))
     return count
+
+
+def _h_classes(t: ThetaGraph) -> dict[int, int]:
+    """The classes of H = G - U, off the universal vertices, ascending, with their sizes."""
+    q, top = t.quotient, t.n_vertices - 1
+    return {c: size for c, (size, d) in enumerate(zip(q.size_list, q.degree_list)) if d < top}
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +185,7 @@ def is_eulerian(t: ThetaGraph) -> bool:
 
     The identity is the only element of order 1, so the group side is: |G|
     odd and every order class of order 1 or a prime."""
-    graph_side = is_connected(t) and bool((t.quotient.degrees % 2 == 0).all())
+    graph_side = is_connected(t) and all(d % 2 == 0 for d in t.quotient.degree_list)
     group_side = t.group.size % 2 == 1 and bool(t.group.order_classes.one_or_prime.all())
     return _agree(t, "eulerian", graph_side, group_side)
 
@@ -228,13 +250,13 @@ def _planar_graph_side(t: ThetaGraph) -> tuple[bool, str]:
         return False, "euler_bound"
     if n <= 4:
         return True, "small_graph"
-    in_h = q.degrees < n - 1
-    u = n - int(q.sizes[in_h].sum())
+    h = _h_classes(t)
+    u = n - sum(h.values())
     if u >= 3:
         return n == 5, "universal_vertices"
     if u == 2:
         h_edges = m - (2 * n - 3)  # not in H: the edge inside U and two edges to U at each vertex of H
-        linear = bool((q.degrees[in_h] - 2 <= 2).all()) and h_edges == n - 2 - _components_left(q, q.sizes * in_h)
+        linear = all(q.degree_list[c] - 2 <= 2 for c in h) and h_edges == n - 2 - _components_left(q, h)
         return linear, "universal_vertices"
     raise _contradiction(t, f"at most one universal vertex on {n} vertices in the graph of {t.group.describe()}; "
                          "the identity and an element of prime order should be universal")
@@ -259,7 +281,7 @@ def planarity_decision(t: ThetaGraph) -> tuple[bool, str]:
     independent set is planar. |S| = 1 only in the trivial group.
     """
     graph_side, method = _planar_graph_side(t)
-    group_side = t.n_vertices <= 4 or len(prime_order_set(t)) == 2
+    group_side = t.n_vertices <= 4 or prime_order_count(t) == 2
     return _agree(t, "planarity", graph_side, group_side), method
 
 
@@ -344,17 +366,28 @@ def _toughness_refutation(t: ThetaGraph) -> tuple[frozenset[int], int] | None:
     order (elements of one composite order are pairwise non-adjacent), and
     the prime-order set S(G). If removing a candidate leaves more components
     than vertices removed, the graph is not 1-tough, hence not Hamiltonian.
-    A candidate is tested as the vertices it keeps, so only a winning cut is listed.
+    A candidate is tested as the vertices it keeps in each twin class, read
+    once off the overlap of the order and twin classes (on a group's own graph
+    the two are one), so only a winning cut is listed.
     """
     n, q, oc = t.n_vertices, t.quotient, t.group.order_classes
-    kept = (oc.class_of == c for c in np.flatnonzero(~oc.one_or_prime))  # one mask at a time
-    for keep in chain(kept, [~oc.one_or_prime[oc.class_of]]):
-        removed = n - int(np.count_nonzero(keep))
+    k = len(q.size_list)
+    overlap, counts = np.unique(oc.class_of * k + q.class_of, return_counts=True)
+    within: list[dict[int, int]] = [{} for _ in oc.orders]
+    for o, r in zip(overlap.tolist(), counts.tolist()):
+        within[o // k][o % k] = r
+    composite = [c for c, small in enumerate(oc.one_or_prime.tolist()) if not small]
+    off_s = Counter()  # what the last candidate keeps: every composite-order vertex
+    for c in composite:
+        off_s.update(within[c])
+    for c, keep in chain(((c, within[c]) for c in composite), [(None, off_s)]):
+        removed = n - sum(keep.values())
         if not 0 < removed < n:
             continue
-        comps = _components_left(q, np.bincount(q.class_of[keep], minlength=len(q.sizes)))
+        comps = _components_left(q, keep)
         if comps > removed:
-            return frozenset(np.flatnonzero(~keep).tolist()), comps
+            cut = oc.class_of != c if c is not None else oc.one_or_prime[oc.class_of]
+            return frozenset(np.flatnonzero(cut).tolist()), comps
     return None
 
 
@@ -399,16 +432,24 @@ def _hamiltonian_search(t: ThetaGraph, node_budget: int) -> tuple[str, tuple[int
 def is_hamiltonian(t: ThetaGraph, node_budget: int = DEFAULT_NODE_BUDGET) -> HamiltonianVerdict:
     """Decide Hamiltonicity: Ore bound, then 1-toughness refutation, then
     budgeted exact search. A yes always carries a certificate cycle and a
-    toughness-based no carries the separating set. Ore's bound is read on the
-    classes of degree below n/2 as rows: a short pair u, v has an end there,
-    and lies in two non-adjacent classes or in one independent class of two."""
+    toughness-based no carries the separating set. Ore's bound fails on a short
+    pair u, v: an end a of it lies in a class of degree below n/2, and the pair
+    lies in one independent class of two or more, or its other end lies in a class
+    not joined to a, of degree below n - deg(a). Taken from the highest such
+    degree down, those classes grow as a prefix of the classes by degree, so each
+    class a is tested with one AND of its row."""
     n, q = t.n_vertices, t.quotient
     if n < 3:
         return HamiltonianVerdict("no", None, "exact_search", 0)
-    low = np.flatnonzero(2 * q.degrees < n)
-    pair = (np.arange(len(q.sizes)) != low[:, None]) | (q.sizes[low, None] > 1)  # or two of one class
-    short = ~q.adjacent[low] & (q.degrees < n - q.degrees[low, None]) & pair
-    if not short.any():
+    by_degree = sorted(range(len(q.degree_list)), key=q.degree_list.__getitem__)
+    below, i = 0, 0  # the classes by_degree[:i], of degree below n - deg(a)
+    for a in reversed([a for a in by_degree if 2 * q.degree_list[a] < n]):
+        while i < len(by_degree) and q.degree_list[by_degree[i]] < n - q.degree_list[a]:
+            below |= 1 << by_degree[i]
+            i += 1
+        if below & ~(q.rows[a] | 1 << a) or q.size_list[a] > 1 and not q.cliques >> a & 1:
+            break  # a short pair
+    else:
         return HamiltonianVerdict("yes", _ore_cycle(t), "ore_sufficient", 0)
     refutation = _toughness_refutation(t)
     if refutation is not None:
@@ -489,46 +530,48 @@ def vertex_connectivity(t: ThetaGraph) -> ConnectivityResult:
     n, q = t.n_vertices, t.quotient
     if _complete_graph_side(t):
         return ConnectivityResult(n - 1, None, "complete_rule")
-    in_h = q.degrees < n - 1
-    u_size = n - int(q.sizes[in_h].sum())
-    if _components_left(q, q.sizes * in_h) >= 2:
-        return ConnectivityResult(u_size, _listed_cut(t, ~in_h, u_size), "max_flow")
-    classes = np.flatnonzero(in_h)  # H's classes, ascending
-    q_adj = q.adjacent[np.ix_(classes, classes)]
-    best, cut = n, np.zeros_like(in_h)  # the best cut's classes; every candidate below is smaller than n
-    for c in classes.tolist():
-        if q.sizes[c] > 1 and not q.adjacent[c, c] and q.degrees[c] < best:
-            best, cut = int(q.degrees[c]), q.adjacent[c]
-    s = int(np.argmin(q.degrees[classes]))
-    # the vertex-split digraph of the classes: x_in = 2x, x_out = 2x+1. The split
-    # arc of class x carries its size; connection arcs carry n + 1, so a minimum
+    h = _h_classes(t)  # H's classes, ascending
+    degrees, rows, in_h = q.degree_list, q.rows, _bitset(h)
+    universal, u_size = ((1 << len(degrees)) - 1) ^ in_h, n - sum(h.values())
+    if _components_left(q, h) >= 2:
+        return ConnectivityResult(u_size, _listed_cut(t, universal, u_size), "max_flow")
+    best, cut = n, 0  # the best cut's classes; every candidate below is smaller than n
+    for c, size in h.items():
+        if size > 1 and not q.cliques >> c & 1 and degrees[c] < best:
+            best, cut = degrees[c], rows[c]
+    s = min(h, key=degrees.__getitem__)
+    # the vertex-split digraph of the classes: c_in = 2c, c_out = 2c+1. The split
+    # arc of class c carries its size; connection arcs carry n + 1, so a minimum
     # cut consists of split arcs only and its value is the size of the classes it removes
-    arcs: list[dict[int, int]] = [{} for _ in range(2 * len(classes))]
+    arcs: list[dict[int, int]] = [{} for _ in range(2 * len(degrees))]
 
     def add(u: int, v: int, c: int) -> None:
         arcs[u][v], arcs[v][u] = c, 0
 
-    for x, size in enumerate(q.sizes[classes].tolist()):
-        add(2 * x, 2 * x + 1, size)
-    for a, b in zip(*(ij.tolist() for ij in np.nonzero(np.triu(q_adj, k=1)))):
-        add(2 * a + 1, 2 * b, n + 1)
-        add(2 * b + 1, 2 * a, n + 1)
-    pairs = [(s, c) for c in range(len(classes)) if c != s and not q_adj[s, c]]
-    ns = np.flatnonzero(q_adj[s]).tolist()
-    pairs.extend((a, b) for a, b in combinations(ns, 2) if not q_adj[a, b])
+    for c, size in h.items():
+        add(2 * c, 2 * c + 1, size)
+    for a in h:
+        for b in _bits(rows[a] & in_h >> (a + 1) << (a + 1)):  # b > a
+            add(2 * a + 1, 2 * b, n + 1)
+            add(2 * b + 1, 2 * a, n + 1)
+    pairs = [(s, c) for c in _bits(in_h & ~(rows[s] | 1 << s))]
+    ns = list(_bits(rows[s] & in_h))
+    pairs.extend((a, b) for a, b in combinations(ns, 2) if not rows[a] >> b & 1)
     for a, b in pairs:  # weighted kappa_H(a, b) of each non-adjacent pair
         value, reached = _min_cut(arcs, 2 * a + 1, 2 * b)
         if u_size + value < best:
-            best, cut = u_size + value, ~in_h
-            cut[[c for x, c in enumerate(classes.tolist()) if 2 * x in reached and 2 * x + 1 not in reached]] = True
-    if best > int(q.degrees.min()):
+            best = u_size + value
+            cut = universal | _bitset(c for c in h if 2 * c in reached and 2 * c + 1 not in reached)
+    if best > min(degrees):
         raise CrossCheckError("kappa exceeds the minimum degree")
     return ConnectivityResult(best, _listed_cut(t, cut, best), "max_flow")
 
 
-def _listed_cut(t: ThetaGraph, classes: np.ndarray, size: int) -> frozenset[int]:
-    """The vertices of the marked classes, re-validated on the full graph as a cut of size vertices."""
-    cut = frozenset(np.flatnonzero(classes[t.quotient.class_of]).tolist())
+def _listed_cut(t: ThetaGraph, classes: int, size: int) -> frozenset[int]:
+    """The vertices of the classes set in ``classes``, re-validated on the full graph as a cut of size vertices."""
+    k = len(t.quotient.size_list)
+    marked = np.unpackbits(np.frombuffer(classes.to_bytes(k // 8 + 1, "little"), np.uint8), count=k, bitorder="little")
+    cut = frozenset(np.flatnonzero(marked[t.quotient.class_of]).tolist())
     if len(cut) != size or components_after_removal(t, cut) < 2:
         raise CrossCheckError("minimum cut witness failed re-validation")
     return cut
@@ -544,7 +587,7 @@ def open_problem_classify(t: ThetaGraph) -> str:
     if is_complete(t):
         return "complete"
     kappa = vertex_connectivity(t).kappa
-    s_size = len(prime_order_set(t))
+    s_size = prime_order_count(t)
     if kappa < s_size:
         raise CrossCheckError(
             f"kappa={kappa} < |S|={s_size} on {t.group.describe()}; "

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import groups, properties as props, spectra
-from .graph import ThetaGraph, build_theta, from_adjacency, prime_order_set
+from .graph import ThetaGraph, build_theta, from_adjacency, prime_order_count, prime_order_set
 from .numtheory import factorize, is_prime
 from .spectra import SPECTRUM_MATCH_TOL
 
@@ -209,7 +209,7 @@ def check_connectivity_formulas(r: CheckResult, t: ThetaGraph, build: Builder) -
         if n <= 31:
             r.expect(conn.kappa == n - 1, f"cyclic({n}): kappa != n-1 for prime n")
     elif n >= 4:
-        s = len(prime_order_set(t))
+        s = prime_order_count(t)
         r.expect(conn.kappa == s, f"cyclic({n}): kappa={conn.kappa} != |S|={s}")
         r.expect(
             conn.kappa <= int(t.degrees.min()),
@@ -228,7 +228,7 @@ def check_connectivity_formulas(r: CheckResult, t: ThetaGraph, build: Builder) -
 @_check("connectivity: dicyclic(3) exceeds |S|", lambda: _each(groups.dicyclic, (3,)))
 def check_dicyclic_counterexample(r: CheckResult, t: ThetaGraph, build: Builder) -> CheckResult:
     conn = props.vertex_connectivity(t)
-    s = len(prime_order_set(t))
+    s = prime_order_count(t)
     r.expect(conn.kappa == 6, f"dicyclic(3): kappa={conn.kappa}, expected 6")
     r.expect(s == 4, f"dicyclic(3): |S|={s}, expected 4")
     r.expect(
@@ -317,17 +317,17 @@ def check_hamiltonicity(r: CheckResult, t: ThetaGraph, build: Builder) -> CheckR
 
 @_check("structure: connected, diameter <= 2, girth 3, domination 1", _structure_keys)
 def check_universals(r: CheckResult, t: ThetaGraph, build: Builder) -> CheckResult:
-    g = t.group
-    r.expect(props.is_connected(t), f"{g.describe()}: not connected")
+    g, name = t.group, t.group.describe()
+    r.expect(props.is_connected(t), f"{name}: not connected")
     d = props.diameter(t)
-    r.expect(d <= 2, f"{g.describe()}: diameter {d} > 2")
+    r.expect(d <= 2, f"{name}: diameter {d} > 2")
     if g.size > 2:
         gt = props.girth(t)
-        r.expect(gt == 3, f"{g.describe()}: girth {gt} != 3")
+        r.expect(gt == 3, f"{name}: girth {gt} != 3")
     number, witness = props.domination_number(t)
     r.expect(
         number == 1 and witness == frozenset({g.identity_index}),
-        f"{g.describe()}: domination witness is not the identity",
+        f"{name}: domination witness is not the identity",
     )
     return r
 

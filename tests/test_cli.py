@@ -154,6 +154,30 @@ def test_the_exact_search_of_analyze_reads_no_dense_view(tmp_path, capsys, monke
     assert (verdict["status"], verdict["nodes_explored"], verdict["method"]) == ("inconclusive", 1001, "exact_search")
 
 
+def test_analyze_properties_of_2048_order_classes_stay_as_pinned(tmp_path, capsys):
+    # every element its own order: 1, 2, 3, 5, 7 and 6m for m <= 2043, so k = n = 2048 and H, the
+    # 2043 composite classes, is independent. The spectrum is left out, as its floats come from LAPACK
+    orders = [1, 2, 3, 5, 7] + [6 * m for m in range(1, 2044)]
+    path = tmp_path / "k2048.json"
+    path.write_text(json.dumps({"labels": [str(k) for k in range(len(orders))], "orders": orders}))
+    code, out, _ = run_cli(capsys, "analyze", "--no-timestamp", "--custom", str(path))
+    s = [0, 1, 2, 3, 4]
+    assert code == 0 and json.loads(out)["properties"] == {
+        "connected": {"value": True, "method": "bfs"},
+        "diameter": {"value": 2, "method": "bfs"},
+        "girth": {"value": 3, "finite": True, "method": "bfs"},
+        "eulerian": {"value": False, "method": "dual_criteria"},
+        "complete": {"value": False, "method": "dual_criteria"},
+        "planar": {"value": False, "method": "euler_bound"},
+        "hamiltonian": {"status": "no", "method": "toughness_refuted", "cycle": None, "nodes_explored": 0,
+                        "witness_cut": s},
+        "domination_number": {"value": 1, "witness": [0], "method": "identity_universal"},
+        "vertex_connectivity": {"value": 5, "method": "max_flow", "witness_cut": s},
+        "prime_order_set": {"size": 5, "indices": s},
+        "open_problem_class": "kappa_equals_S",
+    }
+
+
 
 # ---------------------------------------------------------------------------
 # fault injection: each guard below is reached by no honest input, so a step under it is made to lie

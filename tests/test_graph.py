@@ -17,6 +17,7 @@ from thetagraph.graph import (
     export_json,
     from_adjacency,
     json_pieces,
+    prime_order_count,
     prime_order_set,
 )
 from thetagraph.groups import (
@@ -232,6 +233,28 @@ def test_exports_match_per_edge_reference_on_any_matrix_in_blocks_of_any_size(ad
         _assert_exports_match_reference(t)
 
 
+def _assert_class_facts_are_the_arrays(q):
+    k = len(q.sizes)
+    assert q.rows == [sum(1 << j for j in range(k) if j != c and q.adjacent[c, j]) for c in range(k)]
+    assert q.cliques == sum(1 << c for c in range(k) if q.adjacent[c, c])
+    assert (q.size_list, q.degree_list) == (q.sizes.tolist(), q.degrees.tolist())
+    assert type(q.edge_count) is int and q.edge_count == int(q.degrees @ q.sizes) // 2
+
+
+@settings(deadline=None, max_examples=100)
+@given(_twin_matrices())
+def test_class_rows_and_cliques_are_the_class_adjacency_on_any_matrix(adj):
+    _assert_class_facts_are_the_arrays(from_adjacency(cyclic(len(adj)), adj).quotient)
+
+
+def test_class_rows_and_cliques_are_the_class_adjacency_on_every_group_to_200():
+    # and on 305 classes, whose rows span several bytes and machine words
+    orders = [1, 2, 3, 5, 7] + [6 * m for m in range(1, 301)]
+    specs = [g for *_, g in enumerate_groups(200, FAMILIES)] + [from_orders([str(v) for v in orders], orders)]
+    for g in specs:
+        _assert_class_facts_are_the_arrays(build_theta(g).quotient)
+
+
 def test_exports_match_per_edge_reference_on_a_corrupted_graph_of_every_group_to_32():
     # one flipped bit splits the classes it touches: the rows are read off the graph's own classes
     for order, *_, g in enumerate_groups(32, FAMILIES):
@@ -401,6 +424,7 @@ def test_graph_derives_degrees_warnings_and_prime_order_set(build):
         s = prime_order_set(t)
         assert type(s) is frozenset, name
         assert s == {i for i, o in enumerate(g.orders) if is_one_or_prime(o)}, name
+        assert prime_order_count(t) == len(s) and type(prime_order_count(t)) is int, name
 
 
 def test_graphs_compare_and_hash_by_identity():

@@ -644,22 +644,24 @@ def test_a_toughness_candidate_that_keeps_one_class_searches_one_class(monkeypat
     # candidate that keeps one class, and searching all k classes for it made the refutation cubic
     orders = [1, 2, 3, 5, 7] + [6 * m for m in range(1, 1020)]
     g = from_orders([str(k) for k in range(len(orders))], orders)
-    shapes = []
+    visited = set()
 
-    class Recording(np.ndarray):
-        """The class adjacency, noting the shape of every array made from it."""
+    class Recording(list):
+        """The neighbour rows of the classes, noting each class whose row is read."""
 
-        def __array_finalize__(self, obj):
-            shapes.append(self.shape)
+        def __getitem__(self, c):
+            visited.add(c)
+            return super().__getitem__(c)
 
-    oc = g.order_classes
-    t = ThetaGraph(g, groups.TwinQuotient(oc.class_of, oc.adjacent.view(Recording), oc.sizes))
+    t = build_theta(g)
+    q = t.quotient
+    q.__dict__["rows"] = Recording(q.rows)  # in place of the cached rows
     components_left, searched = thetagraph.properties._components_left, []
 
     def recording(q, left):
-        shapes.clear()
+        visited.clear()
         comps = components_left(q, left)
-        searched.append((np.count_nonzero(left), max(max(shape, default=0) for shape in shapes)))
+        searched.append((len(left), len(visited)))
         return comps
 
     monkeypatch.setattr(thetagraph.properties, "_components_left", recording)
