@@ -73,8 +73,8 @@ def analyze_group(
     report["graph"] = {
         "vertices": n,
         "edges": t.edge_count,
-        "min_degree": int(t.degrees.min()),
-        "max_degree": int(t.degrees.max()),
+        "min_degree": min(t.quotient.degree_list),
+        "max_degree": max(t.quotient.degree_list),
     }
 
     connected = props.is_connected(t)

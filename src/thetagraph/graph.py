@@ -12,6 +12,7 @@ import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -33,19 +34,20 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ThetaGraph:
-    """The graph of ``group``, the blow-up of ``quotient``, with read-only ``degrees``.
-    Equality and hashing go by identity, as the per-graph ``facts`` do."""
+    """The graph of ``group``, the blow-up of ``quotient``. Equality and hashing go by
+    identity, as the per-graph ``facts`` do."""
 
     group: GroupSpec
     quotient: TwinQuotient
-    degrees: np.ndarray = field(init=False)  # (n,) int64
     # facts computed from the graph, by name, once each (see properties._once_per_graph)
     facts: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __post_init__(self):
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """(n,) int64, read-only: the degree of each vertex, made on first read."""
         degrees = self.quotient.degrees[self.quotient.class_of]
         degrees.setflags(write=False)
-        object.__setattr__(self, "degrees", degrees)
+        return degrees
 
     @property
     def adj(self) -> np.ndarray:
@@ -76,7 +78,7 @@ def from_adjacency(group: GroupSpec, adj) -> ThetaGraph:
         raise ValueError(f"not a symmetric {n} x {n} adjacency matrix with a zero diagonal")
     _, first, class_of = np.unique(np.packbits(adj, axis=1), axis=0, return_index=True, return_inverse=True)
     class_of = class_of.ravel()
-    return ThetaGraph(group, TwinQuotient(class_of, adj[np.ix_(first, first)], np.bincount(class_of)))
+    return ThetaGraph(group, TwinQuotient(adj[np.ix_(first, first)], np.bincount(class_of), lambda: class_of))
 
 
 def prime_order_set(t: ThetaGraph) -> frozenset[int]:

@@ -1,23 +1,25 @@
 """Finite groups reduced to labeled element-order profiles.
 
 The coprimality graph of a group depends only on element orders, so a group
-is stored as an int64 array of element orders and the ascending array of its
-distinct orders, both computed by a formula per family, plus family
-metadata; its labels are made only when read. Full multiplication tables
-are never kept here; tests rebuild them from the defining presentations
-where an independent oracle is wanted.
+is stored as its order profile: the ascending distinct orders, the number of
+elements of each, the identity's index and the size, all given by a formula
+per family, plus family metadata. Its elements' orders and labels are made
+only when read. Full multiplication tables are never kept here; tests
+rebuild them from the defining presentations where an independent oracle is
+wanted.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from math import isqrt, lcm
 
 import numpy as np
 
-from .numtheory import divisors, is_one_or_prime, is_prime
+from .numtheory import divisors_with_phi, is_one_or_prime, is_prime
 
 __all__ = [
     "FAMILIES",
@@ -50,17 +52,25 @@ _GCD_BLOCK_ROWS = 256  # the k x k gcd table of the order classes is made in blo
 @dataclass(frozen=True, eq=False)
 class TwinQuotient:
     """A graph as the blow-up of k classes of twins, in read-only arrays: distinct u and v are
-    joined iff ``adjacent[class_of[u], class_of[v]]``, so the diagonal marks the clique classes."""
+    joined iff ``adjacent[class_of[u], class_of[v]]``, so the diagonal marks the clique classes.
+    ``class_of`` is made by ``make_class_of`` on first read; only vertex-level work reads it."""
 
-    class_of: np.ndarray  # (n,) int64: the class of each vertex
     adjacent: np.ndarray  # (k, k) bool, symmetric
     sizes: np.ndarray  # (k,) int64: the number of vertices in each class
+    make_class_of: Callable[[], np.ndarray]  # the (n,) int64 class of each vertex
     degrees: np.ndarray = field(init=False)  # (k,) int64: the degree of each vertex of a class
 
     def __post_init__(self):
         object.__setattr__(self, "degrees", self.adjacent @ self.sizes - self.adjacent.diagonal())
-        for a in (self.class_of, self.adjacent, self.sizes, self.degrees):
+        for a in (self.adjacent, self.sizes, self.degrees):
             a.setflags(write=False)
+
+    @cached_property
+    def class_of(self) -> np.ndarray:
+        """(n,) int64, read-only: the class of each vertex."""
+        class_of = self.make_class_of()
+        class_of.setflags(write=False)
+        return class_of
 
     # The class searches read the k-sized facts below, each a Python value made on first read:
     # at k of 2 to 48, numpy's per-call cost outweighs the work on arrays this small.
@@ -98,14 +108,20 @@ class TwinQuotient:
         return adj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrderClasses:
-    """A group's elements grouped by order; the arrays are read-only."""
+    """A group's elements grouped by order; the arrays are read-only. ``class_of`` is made
+    by ``make_class_of`` on first read, which checks the elements against the classes."""
 
     orders: np.ndarray  # (k,) int64: the distinct element orders, ascending
-    class_of: np.ndarray  # (n,) the index in orders of each element's order
-    one_or_prime: np.ndarray  # (k,) bool: the class order is 1 or a prime
     sizes: np.ndarray  # (k,) int64: the number of elements in each class
+    one_or_prime: np.ndarray  # (k,) bool: the class order is 1 or a prime
+    make_class_of: Callable[[], np.ndarray]  # the (n,) index in orders of each element's order
+
+    @cached_property
+    def class_of(self) -> np.ndarray:
+        """(n,) int64, read-only: the class of each element."""
+        return self.make_class_of()
 
     @cached_property
     def adjacent(self) -> np.ndarray:
@@ -137,43 +153,94 @@ class OrderClasses:
     @cached_property
     def quotient(self) -> TwinQuotient:
         """The graph's twin quotient: elements of one order are twins."""
-        return TwinQuotient(self.class_of, self.adjacent, self.sizes)
+        return TwinQuotient(self.adjacent, self.sizes, self.make_class_of)
+
+
+def _made_once(make: Callable[[], np.ndarray]) -> Callable[[], np.ndarray]:
+    """make, called on the first call only; later calls return what it made."""
+    made = None
+
+    def once() -> np.ndarray:
+        nonlocal made
+        if made is None:
+            made = make()
+        return made
+
+    return once
+
+
+def _checked_class_of(make_orders, classes: np.ndarray, sizes: np.ndarray, identity: int) -> np.ndarray:
+    """The class in ``classes`` of each element of ``make_orders()``, read-only. Raises
+    ValueError, the first found in this order, if an element's order is not listed, a listed
+    order or a class size is not the elements', or the element at ``identity`` is not of order 1."""
+    orders = np.asarray(make_orders(), dtype=np.int64)
+    class_of = np.searchsorted(classes, orders)
+    listed = classes.take(class_of, mode="clip") == orders
+    if not listed.all():
+        i = int(np.argmin(listed))
+        raise ValueError(f"the order {orders[i]} of element {i} is not in class_orders")
+    counts = np.bincount(class_of, minlength=len(classes))
+    if not counts.all():
+        raise ValueError(f"class_orders list the order {classes[np.argmin(counts)]}, which no element has")
+    if (counts != sizes).any():
+        c = int(np.argmax(counts != sizes))
+        raise ValueError(f"class_sizes give {sizes[c]} elements of order {classes[c]}, but {counts[c]} have it")
+    if orders[identity] != 1:
+        raise ValueError(f"the element at identity_index {identity} has order {orders[identity]}, not 1")
+    class_of.setflags(write=False)
+    return class_of
 
 
 @dataclass(frozen=True, eq=False)
 class GroupSpec:
-    """A finite group as an array of element orders, with labels made on first read.
+    """A finite group as its order profile, with its elements made on first read.
 
-    Exactly one element has order 1, and every order is positive.
-    ``class_orders`` lists the distinct orders, ascending, as the family's
-    formula gives them; ``order_classes`` checks them against the elements
-    when it is first read. The identity's index and the ``warnings`` are
-    derived from the orders alone, as the graph is. ``orders`` and
-    ``labels`` read as tuples of Python ints and strs, each made once;
-    ``make_labels()`` gives the labels in element order. Equality goes by
-    identity.
+    ``class_orders`` lists the distinct element orders, ascending, and
+    ``class_sizes`` the number of elements of each; ``identity_index`` is the
+    identity's place among the ``size`` elements. The spec checks these when
+    it is made. ``make_orders()`` gives the elements' orders and
+    ``make_labels()`` their labels, in element order; the first read of
+    ``order_array`` or ``order_classes.class_of`` checks the orders against
+    the profile. ``orders`` and ``labels`` read as tuples of Python ints and
+    strs, each made once. Equality goes by identity.
     """
 
     family: str
     params: dict
-    order_array: np.ndarray  # (n,) int64, read-only: the order of each element
     class_orders: np.ndarray  # (k,) int64, read-only: the distinct element orders, ascending
+    class_sizes: np.ndarray  # (k,) int64, read-only: the number of elements of each order
+    identity_index: int
+    size: int
+    make_orders: Callable[[], np.ndarray]
     make_labels: Callable[[], tuple[str, ...]]
 
     def __post_init__(self):
-        orders = np.asarray(self.order_array, dtype=np.int64)
-        if not orders.size:
-            raise ValueError("a group needs at least one element")
-        identities = np.count_nonzero(orders == 1)
+        classes = np.asarray(self.class_orders, dtype=np.int64)
+        sizes = np.asarray(self.class_sizes, dtype=np.int64)
+        # checked on Python lists: at k of 2 to 48, a numpy call costs more than the check
+        orders, counts = classes.tolist(), sizes.tolist()
+        if classes.ndim != 1 or not orders or any(a >= b for a, b in zip(orders, orders[1:])):
+            raise ValueError("class_orders must be a non-empty, strictly ascending list of orders")
+        if sizes.shape != classes.shape or min(counts) < 1 or sum(counts) != self.size:
+            raise ValueError(f"class_sizes must be a positive count per class order, summing to the size {self.size}")
+        identities = counts[orders.index(1)] if 1 in orders else 0
         if identities != 1:
             raise ValueError(f"expected exactly one identity element, found {identities}")
-        if orders.min() < 1:
+        if orders[0] < 1:
             raise ValueError("element orders must be positive")
-        classes = np.asarray(self.class_orders, dtype=np.int64)
-        for a in (orders, classes):
+        if not 0 <= self.identity_index < self.size:
+            raise ValueError(f"identity_index {self.identity_index} is not an element of {self.size}")
+        for a in (classes, sizes):
             a.setflags(write=False)
-        object.__setattr__(self, "order_array", orders)
         object.__setattr__(self, "class_orders", classes)
+        object.__setattr__(self, "class_sizes", sizes)
+
+    @cached_property
+    def order_array(self) -> np.ndarray:
+        """(n,) int64, read-only: the order of each element, made on first read."""
+        orders = self.class_orders[self.order_classes.class_of]
+        orders.setflags(write=False)
+        return orders
 
     @cached_property
     def orders(self) -> tuple[int, ...]:
@@ -184,54 +251,39 @@ class GroupSpec:
         return self.make_labels()
 
     @cached_property
-    def identity_index(self) -> int:
-        return int(np.argmin(self.order_array))
-
-    @cached_property
     def warnings(self) -> tuple[tuple[str, str], ...]:
         """Machine-readable (code, message) pairs: each element whose order
         does not divide |G| (Lagrange), in element order, then ``small_group``
-        when |G| <= 2, since the graph definition assumes |G| > 2. Only a
-        class whose order fails has its elements listed."""
-        n, oc = self.size, self.order_classes
-        failed = np.flatnonzero((n % oc.orders != 0)[oc.class_of])
-        warnings = tuple(
-            ("lagrange_violation", f"order {o} of element {self.labels[i]!r} does not divide group size {n}")
-            for i, o in zip(failed.tolist(), self.order_array[failed].tolist())
-        )
+        when |G| <= 2, since the graph definition assumes |G| > 2. Lagrange is
+        tested once per class order, and only a class whose order fails has
+        its elements listed."""
+        n = self.size
+        failed = [c for c, o in enumerate(self.class_orders.tolist()) if n % o]
+        warnings = ()
+        if failed:
+            at = np.flatnonzero(np.isin(self.order_classes.class_of, failed))
+            warnings = tuple(
+                ("lagrange_violation", f"order {o} of element {self.labels[i]!r} does not divide group size {n}")
+                for i, o in zip(at.tolist(), self.order_array[at].tolist())
+            )
         if n <= 2:
             warnings += (
                 ("small_group", f"|G|={n} is at or below 2; the graph definition assumes |G|>2"),
             )
         return warnings
 
-    @property
-    def size(self) -> int:
-        return len(self.order_array)
-
     @cached_property
     def order_classes(self) -> OrderClasses:
-        """The order classes, derived once per spec from ``class_orders``, with
-        no sort of the elements. Every group-side criterion reads them, so
-        primality is tested once per distinct order, never once per element.
-        Raises ValueError unless ``class_orders`` are a non-empty, strictly
-        ascending list that holds every element's order and no order without
-        an element."""
-        orders, k = self.class_orders, len(self.class_orders)
-        if orders.ndim != 1 or not k or (orders[1:] <= orders[:-1]).any():
-            raise ValueError("class_orders must be a non-empty, strictly ascending list of orders")
-        class_of = np.searchsorted(orders, self.order_array)
-        listed = orders.take(class_of, mode="clip") == self.order_array
-        if not listed.all():
-            i = int(np.argmin(listed))
-            raise ValueError(f"the order {self.order_array[i]} of element {i} is not in class_orders")
-        sizes = np.bincount(class_of, minlength=k)
-        if not sizes.all():
-            raise ValueError(f"class_orders list the order {orders[np.argmin(sizes)]}, which no element has")
-        one_or_prime = np.array([is_one_or_prime(o) for o in orders.tolist()], dtype=bool)
-        for a in (class_of, one_or_prime, sizes):
-            a.setflags(write=False)
-        return OrderClasses(orders, class_of, one_or_prime, sizes)
+        """The order classes, made once per spec from the profile, so primality
+        is tested once per class order, never once per element. Their
+        ``class_of`` is made from ``make_orders()`` on first read, and raises
+        ValueError unless the elements match the profile."""
+        one_or_prime = np.array([is_one_or_prime(o) for o in self.class_orders.tolist()], dtype=bool)
+        one_or_prime.setflags(write=False)
+        # one maker for the classes and their quotient, holding no reference back to either
+        make_class_of = _made_once(partial(_checked_class_of, self.make_orders, self.class_orders,
+                                           self.class_sizes, self.identity_index))
+        return OrderClasses(self.class_orders, self.class_sizes, one_or_prime, make_class_of)
 
     def describe(self) -> str:
         """Compact constructor-style descriptor, e.g. ``cyclic(6)``."""
@@ -257,8 +309,15 @@ def _check_max_order(top: int) -> None:
 
 def order_profile(g: GroupSpec) -> dict[int, int]:
     """Multiset of element orders as {order: count}, ascending by order."""
-    oc = g.order_classes
-    return dict(zip(oc.orders.tolist(), oc.sizes.tolist()))
+    return dict(zip(g.class_orders.tolist(), g.class_sizes.tolist()))
+
+
+def _from_profile(family: str, params: dict, counts: dict[int, int], make_orders, make_labels,
+                  identity: int = 0) -> GroupSpec:
+    """The spec of the group with counts[o] elements of order o."""
+    orders = sorted(counts)
+    return GroupSpec(family, params, orders, [counts[o] for o in orders], identity, sum(counts.values()),
+                     make_orders, make_labels)
 
 
 def _cyclic_orders(n: int) -> np.ndarray:
@@ -267,17 +326,26 @@ def _cyclic_orders(n: int) -> np.ndarray:
 
 
 def cyclic(n: int) -> GroupSpec:
-    """Z_n under addition; element k has order n / gcd(n, k), so the orders are the divisors of n."""
+    """Z_n under addition; element k has order n / gcd(n, k), so Z_n has phi(d) elements of
+    order d for each divisor d of n."""
     if n < 1:
         raise ValueError(f"cyclic requires n >= 1, got {n}")
     _check_size(f"cyclic({n})", n)
-    return GroupSpec("cyclic", {"n": n}, _cyclic_orders(n), divisors(n), lambda: tuple(map(str, range(n))))
+    return _from_profile("cyclic", {"n": n}, dict(divisors_with_phi(n)), partial(_cyclic_orders, n),
+                         lambda: tuple(map(str, range(n))))
 
 
 def _power_labels(sym: str, n: int, prefix: str = "") -> list[str]:
     """``prefix + sym^k`` for k < n, with sym^0 written ``1`` (nothing after a prefix)
     and sym^1 written ``sym``."""
     return ([prefix or "1", prefix + sym] + [f"{prefix}{sym}^{k}" for k in range(2, n)])[:n]
+
+
+def _cyclic_then(n: int, size: int, order: int) -> dict[int, int]:
+    """The profile of Z_n's elements followed by ``size`` more of one order."""
+    counts = dict(divisors_with_phi(n))
+    counts[order] = counts.get(order, 0) + size
+    return counts
 
 
 def dihedral(n: int) -> GroupSpec:
@@ -288,9 +356,9 @@ def dihedral(n: int) -> GroupSpec:
     if n < 1:
         raise ValueError(f"dihedral requires n >= 1, got {n}")
     _check_size(f"dihedral({n})", 2 * n)
-    orders = np.concatenate([_cyclic_orders(n), np.full(n, 2)])
-    return GroupSpec("dihedral", {"n": n}, orders, sorted({*divisors(n), 2}),
-                     lambda: tuple(_power_labels("r", n) + _power_labels("r", n, "s")))
+    return _from_profile("dihedral", {"n": n}, _cyclic_then(n, n, 2),
+                         lambda: np.concatenate([_cyclic_orders(n), np.full(n, 2)]),
+                         lambda: tuple(_power_labels("r", n) + _power_labels("r", n, "s")))
 
 
 def dicyclic(n: int) -> GroupSpec:
@@ -304,9 +372,9 @@ def dicyclic(n: int) -> GroupSpec:
     if n < 2:
         raise ValueError(f"dicyclic requires n >= 2, got {n}")
     _check_size(f"dicyclic({n})", 4 * n)
-    orders = np.concatenate([_cyclic_orders(2 * n), np.full(2 * n, 4)])
-    return GroupSpec("dicyclic", {"n": n}, orders, sorted({*divisors(2 * n), 4}),
-                     lambda: tuple(_power_labels("a", 2 * n) + _power_labels("a", 2 * n, "x")))
+    return _from_profile("dicyclic", {"n": n}, _cyclic_then(2 * n, 2 * n, 4),
+                         lambda: np.concatenate([_cyclic_orders(2 * n), np.full(2 * n, 4)]),
+                         lambda: tuple(_power_labels("a", 2 * n) + _power_labels("a", 2 * n, "x")))
 
 
 def _identity_then(size: int, order: int) -> np.ndarray:
@@ -325,8 +393,8 @@ def elementary_abelian(p: int, m: int) -> GroupSpec:
         raise ValueError(f"elementary_abelian requires m >= 1, got {m}")
     # p >= 2, so p**m is over the limit once m reaches its bit length; a huge m is never raised
     _check_size(f"elementary_abelian({p},{m})", p ** min(m, MAX_ELEMENTS.bit_length()))
-    return GroupSpec("elementary_abelian", {"p": p, "m": m}, _identity_then(p**m, p), [1, p],
-                     lambda: tuple(",".join(str(k // p**j % p) for j in range(m)) for k in range(p**m)))
+    return _from_profile("elementary_abelian", {"p": p, "m": m}, {1: 1, p: p**m - 1}, partial(_identity_then, p**m, p),
+                         lambda: tuple(",".join(str(k // p**j % p) for j in range(m)) for k in range(p**m)))
 
 
 def heisenberg(p: int) -> GroupSpec:
@@ -342,23 +410,25 @@ def heisenberg(p: int) -> GroupSpec:
     if not is_prime(p):
         raise ValueError(f"heisenberg requires a prime p, got {p}")
     _check_size(f"heisenberg({p})", p**3)
-    orders = _identity_then(p**3, p)
-    if p == 2:
-        orders[[5, 7]] = 4
-    return GroupSpec("heisenberg", {"p": p}, orders, [1, 2, 4] if p == 2 else [1, p],
-                     lambda: tuple(f"({a},{b},{c})" for a in range(p) for b in range(p) for c in range(p)))
+    return _from_profile("heisenberg", {"p": p}, {1: 1, 2: 5, 4: 2} if p == 2 else {1: 1, p: p**3 - 1},
+                         lambda: np.array([1, 2, 2, 2, 2, 4, 2, 4]) if p == 2 else _identity_then(p**3, p),
+                         lambda: tuple(f"({a},{b},{c})" for a in range(p) for b in range(p) for c in range(p)))
 
 
 def direct_product(g: GroupSpec, h: GroupSpec) -> GroupSpec:
-    """G x H, the pairs (a, b) with a major; the order of (a, b) is lcm(o(a), o(b)), so the
-    class orders are the distinct lcms of a class order of G and one of H."""
+    """G x H, the pairs (a, b) with a major; the order of (a, b) is lcm(o(a), o(b)), so its
+    profile is the lcm convolution of the two: x·y elements of order lcm(o, p) for x elements
+    of order o in G and y of order p in H. The identity is the pair of the identities."""
     _check_size(f"product({g.describe()},{h.describe()})", g.size * h.size)
-    if g.class_orders[-1] > MAX_ORDER // h.class_orders[-1]:  # an lcm may pass int64
-        _check_max_order(max(lcm(x, y) for x in g.class_orders.tolist() for y in h.class_orders.tolist()))
-    return GroupSpec("product", {"left": g.describe(), "right": h.describe()},
-                     np.lcm.outer(g.order_array, h.order_array).ravel(),
-                     sorted(set(np.lcm.outer(g.class_orders, h.class_orders).ravel().tolist())),
-                     lambda: tuple(f"({la},{lb})" for la in g.labels for lb in h.labels))
+    counts = Counter()
+    for a, x in zip(g.class_orders.tolist(), g.class_sizes.tolist()):
+        for b, y in zip(h.class_orders.tolist(), h.class_sizes.tolist()):
+            counts[lcm(a, b)] += x * y
+    _check_max_order(max(counts))
+    return _from_profile("product", {"left": g.describe(), "right": h.describe()}, counts,
+                         lambda: np.lcm.outer(g.order_array, h.order_array).ravel(),
+                         lambda: tuple(f"({la},{lb})" for la in g.labels for lb in h.labels),
+                         g.identity_index * h.size + h.identity_index)
 
 
 def from_orders(labels: list[str], orders: list[int]) -> GroupSpec:
@@ -388,7 +458,9 @@ def from_orders(labels: list[str], orders: list[int]) -> GroupSpec:
         array = np.array(orders, dtype=np.int64)
     except OverflowError:  # clipped into int64 range, so the spec's own checks still come first
         array = np.array(orders, dtype=object).clip(0, MAX_ORDER).astype(np.int64)
-    spec = GroupSpec("custom", {"n": n}, array, np.unique(array), lambda: labels)  # the one sort of n orders
+    classes, sizes = np.unique(array, return_counts=True)  # the one sort of n orders
+    # the identity is the least order, if the spec finds exactly one 1 and no order below it
+    spec = GroupSpec("custom", {"n": n}, classes, sizes, int(np.argmin(array)), n, lambda: array, lambda: labels)
     _check_max_order(max(orders))
     return spec
 

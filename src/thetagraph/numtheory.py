@@ -13,6 +13,7 @@ from math import gcd, isqrt, lcm
 
 __all__ = [
     "divisors",
+    "divisors_with_phi",
     "euler_phi",
     "factorize",
     "gcd",
@@ -98,14 +99,21 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def divisors(n: int) -> tuple[int, ...]:
-    """The positive divisors of n >= 1, ascending, as exact ints, from the factorization of n."""
+def divisors_with_phi(n: int) -> tuple[tuple[int, int], ...]:
+    """(d, phi(d)) for each positive divisor d of n >= 1, ascending by d, as exact ints,
+    all from the one factorization of n: phi(d * p**i) = phi(d) * p**(i-1) * (p-1) for a
+    prime p that does not divide d."""
     if n < 1:
         raise ValueError(f"divisors requires n >= 1, got {n}")
-    found = [1]
+    found = [(1, 1)]
     for p, e in factorize(n) if n > 1 else ():
-        found += [d * p**i for i in range(1, e + 1) for d in found]
+        found += [(d * p**i, phi * p ** (i - 1) * (p - 1)) for i in range(1, e + 1) for d, phi in found]
     return tuple(sorted(found))
+
+
+def divisors(n: int) -> tuple[int, ...]:
+    """The positive divisors of n >= 1, ascending, as exact ints, from the factorization of n."""
+    return tuple(d for d, _ in divisors_with_phi(n))
 
 
 def squarefree_split(n: int) -> tuple[int, int]:

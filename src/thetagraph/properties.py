@@ -204,12 +204,18 @@ def is_complete(t: ThetaGraph) -> bool:
 
 
 def is_singleton_dominating(t: ThetaGraph, v: int) -> bool:
-    """{v} dominates iff o(v) is 1 or prime iff v is adjacent to all others."""
+    """{v} dominates iff o(v) is 1 or prime iff v is adjacent to all others.
+    The identity is the one element of order class 0 (order 1), which on the
+    group's own graph is also its twin class, so its classes are known with
+    no element read."""
     if not 0 <= v < t.n_vertices:
         raise IndexError(f"vertex index out of range: {v}")
-    oc = t.group.order_classes
-    group_side = bool(oc.one_or_prime[oc.class_of[v]])
-    graph_side = int(t.degrees[v]) == t.n_vertices - 1
+    g, q = t.group, t.quotient
+    identity = v == g.identity_index
+    order_class = 0 if identity else int(g.order_classes.class_of[v])
+    twin_class = 0 if identity and q is g.order_classes.quotient else int(q.class_of[v])
+    group_side = bool(g.order_classes.one_or_prime[order_class])
+    graph_side = q.degree_list[twin_class] == t.n_vertices - 1
     return _agree(t, "domination", graph_side, group_side, vertex=v)
 
 

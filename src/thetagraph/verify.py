@@ -52,10 +52,12 @@ class CheckResult:
     def ok(self) -> bool:
         return not self.failures
 
-    def expect(self, condition: bool, detail: str) -> None:
+    def expect(self, condition: bool, detail: str | Callable[[], str]) -> None:
+        """Count one case, failed unless ``condition``; ``detail`` is the failure's text,
+        or a function that makes it, called only on failure."""
         self.cases += 1
         if not condition:
-            self.failures.append(detail)
+            self.failures.append(detail if isinstance(detail, str) else detail())
 
 
 def corrupting_builder(g: groups.GroupSpec) -> ThetaGraph:
@@ -212,7 +214,7 @@ def check_connectivity_formulas(r: CheckResult, t: ThetaGraph, build: Builder) -
         s = prime_order_count(t)
         r.expect(conn.kappa == s, f"cyclic({n}): kappa={conn.kappa} != |S|={s}")
         r.expect(
-            conn.kappa <= int(t.degrees.min()),
+            conn.kappa <= min(t.quotient.degree_list),
             f"cyclic({n}): kappa exceeds the minimum degree",
         )
     shape = factorize(n)
@@ -248,7 +250,7 @@ def check_eulerian(r: CheckResult, t: ThetaGraph, build: Builder) -> CheckResult
     g = t.group
     value = props.is_eulerian(t)  # raises CrossCheckError on dual mismatch
     theorem = (g.size % 2 == 1) and all(is_prime(o) for o in g.order_classes.orders.tolist() if o != 1)
-    r.expect(value == theorem, f"{g.describe()}: eulerian={value}, theorem={theorem}")
+    r.expect(value == theorem, lambda: f"{g.describe()}: eulerian={value}, theorem={theorem}")
     return r
 
 
@@ -263,9 +265,9 @@ def check_completeness(r: CheckResult, t: ThetaGraph, build: Builder) -> CheckRe
     value = props.is_complete(t)
     if g.family in ("cyclic", "dihedral"):
         n = g.params["n"]
-        r.expect(value == is_prime(n), f"{g.describe()}: complete={value} but n prime={is_prime(n)}")
+        r.expect(value == is_prime(n), lambda: f"{g.describe()}: complete={value} but n prime={is_prime(n)}")
     else:
-        r.expect(value, f"{g.describe()}: expected complete")
+        r.expect(value, lambda: f"{g.describe()}: expected complete")
     return r
 
 
@@ -317,17 +319,17 @@ def check_hamiltonicity(r: CheckResult, t: ThetaGraph, build: Builder) -> CheckR
 
 @_check("structure: connected, diameter <= 2, girth 3, domination 1", _structure_keys)
 def check_universals(r: CheckResult, t: ThetaGraph, build: Builder) -> CheckResult:
-    g, name = t.group, t.group.describe()
-    r.expect(props.is_connected(t), f"{name}: not connected")
+    g = t.group
+    r.expect(props.is_connected(t), lambda: f"{g.describe()}: not connected")
     d = props.diameter(t)
-    r.expect(d <= 2, f"{name}: diameter {d} > 2")
+    r.expect(d <= 2, lambda: f"{g.describe()}: diameter {d} > 2")
     if g.size > 2:
         gt = props.girth(t)
-        r.expect(gt == 3, f"{name}: girth {gt} != 3")
+        r.expect(gt == 3, lambda: f"{g.describe()}: girth {gt} != 3")
     number, witness = props.domination_number(t)
     r.expect(
         number == 1 and witness == frozenset({g.identity_index}),
-        f"{name}: domination witness is not the identity",
+        lambda: f"{g.describe()}: domination witness is not the identity",
     )
     return r
 

@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from thetagraph import groups
 from thetagraph.graph import build_theta
 from thetagraph.groups import (
     FAMILIES,
@@ -25,6 +26,15 @@ from thetagraph.groups import (
     order_profile,
 )
 from thetagraph.numtheory import divisors, euler_phi, is_prime
+from thetagraph.properties import (
+    diameter,
+    domination_number,
+    girth,
+    is_complete,
+    is_connected,
+    is_eulerian,
+    planarity_decision,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -381,17 +391,26 @@ def test_product_with_a_lagrange_violating_factor_keeps_its_warnings():
     assert g.warnings == (_lagrange_warning("(a,0)", 3, 4), _lagrange_warning("(a,1)", 6, 4))
 
 
+def _four_elements(class_orders, class_sizes, identity=0, size=4):
+    """A spec of the elements of orders 1, 3, 2, 3 with the profile given."""
+    return GroupSpec("custom", {"n": 4}, class_orders, class_sizes, identity, size,
+                     lambda: np.array([1, 3, 2, 3]), lambda: ("e", "a", "b", "c"))
+
+
 def test_group_spec_holds_only_what_it_is_given():
-    fields = ["family", "params", "order_array", "class_orders", "make_labels"]
+    fields = ["family", "params", "class_orders", "class_sizes", "identity_index", "size", "make_orders",
+              "make_labels"]
     assert [f.name for f in dataclasses.fields(GroupSpec)] == fields
     g = from_orders(["e", "a"], [1, 3])
     assert g.warnings is g.warnings  # computed once
-    for name, value in (("identity_index", 1), ("warnings", ()), ("labels", ()), ("orders", ())):
+    for name, value in (("order_array", np.array([1, 3])), ("warnings", ()), ("labels", ()), ("orders", ())):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(g, name, value)
         with pytest.raises(TypeError):
-            GroupSpec("custom", {"n": 2}, np.array([1, 3]), [1, 3], lambda: ("e", "a"), **{name: value})
-    assert not g.order_array.flags.writeable and not g.class_orders.flags.writeable
+            GroupSpec("custom", {"n": 2}, [1, 3], [1, 1], 0, 2, lambda: np.array([1, 3]), lambda: ("e", "a"),
+                      **{name: value})
+    arrays = (g.class_orders, g.class_sizes, g.order_array)
+    assert all(a.dtype == np.int64 and not a.flags.writeable for a in arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -399,14 +418,26 @@ def test_group_spec_holds_only_what_it_is_given():
 # ---------------------------------------------------------------------------
 
 
+def _products_with_a_custom_factor():
+    """Products whose factors list the identity other than first, as (family, params, args, spec)."""
+    custom = from_orders(["a", "b", "e", "c"], [3, 3, 1, 2])
+    for g, h in ((_IDENTITY_SECOND, cyclic(3)), (cyclic(4), _IDENTITY_SECOND), (custom, dihedral(3)),
+                 (dicyclic(2), custom), (direct_product(custom, _IDENTITY_SECOND), custom)):
+        yield "product", f"{g.describe()}x{h.describe()}", None, direct_product(g, h)
+
+
 def test_class_orders_by_formula_are_the_distinct_element_orders_of_every_group_to_600():
     keys = group_keys(600, FAMILIES)
-    for _, family, params, build, args in keys:
-        g = build(*args)
+    specs = [(family, params, args, build(*args)) for _, family, params, build, args in keys]
+    for family, params, args, g in specs + list(_products_with_a_custom_factor()):
+        # the formula's profile, size and identity, read before any element is made
+        classes, sizes, identity, size = g.class_orders.tolist(), g.class_sizes.tolist(), g.identity_index, g.size
         distinct, counts = np.unique(g.order_array, return_counts=True)
         assert g.class_orders.dtype == np.int64 and not g.class_orders.flags.writeable, params
-        assert g.class_orders.tolist() == distinct.tolist(), (family, params)
-        assert g.order_classes.sizes.tolist() == counts.tolist(), (family, params)
+        assert g.class_sizes.dtype == np.int64 and not g.class_sizes.flags.writeable, params
+        assert classes == distinct.tolist(), (family, params)
+        assert sizes == counts.tolist() == g.order_classes.sizes.tolist(), (family, params)
+        assert size == len(g.order_array) and identity == g.order_array.tolist().index(1), (family, params)
         profile = order_profile(g)
         if family == "cyclic":
             assert profile == {d: euler_phi(d) for d in divisors(*args)}, params
@@ -431,11 +462,76 @@ def test_class_orders_by_formula_are_the_distinct_element_orders_of_every_group_
     ],
 )
 def test_class_orders_that_do_not_match_the_elements_raise(class_orders, message):
-    g = GroupSpec("custom", {"n": 4}, np.array([1, 3, 2, 3]), class_orders, lambda: ("e", "a", "b", "c"))
+    # one element in each class but the last, which takes the rest of the four
+    sizes = [1] * (len(class_orders) - 1) + [5 - len(class_orders)]
+    if "ascending" in message or "non-empty" in message:  # the profile alone is checked when the spec is made
+        with pytest.raises(ValueError, match=message):
+            _four_elements(class_orders, sizes)
+        return
+    # the elements are checked against the profile on their first read, which the graph does not make
+    for read in (lambda g: g.order_array, lambda g: g.order_classes.class_of, lambda g: build_theta(g).degrees):
+        with pytest.raises(ValueError, match=message):
+            read(_four_elements(class_orders, sizes))
+
+
+@pytest.mark.parametrize(
+    "class_orders, class_sizes, identity, size, message",
+    [
+        ([1, 2, 3], [1, 2, 1], 0, 4, "class_sizes give 2 elements of order 2, but 1 have it"),
+        ([1, 2, 3], [1, 1, 2], 1, 4, "the element at identity_index 1 has order 3, not 1"),
+        ([1, 2, 3], [1, 1, 2], 4, 4, "identity_index 4 is not an element of 4"),
+        ([1, 2, 3], [1, 1, 1], 0, 4, "summing to the size 4"),
+        ([1, 2, 3], [1, 3], 0, 4, "a positive count per class order"),
+        ([1, 2, 3], [1, 0, 3], 0, 4, "a positive count per class order"),
+        ([1, 2, 3], [2, 1, 1], 0, 4, "expected exactly one identity element, found 2"),
+        ([2, 3], [2, 2], 0, 4, "expected exactly one identity element, found 0"),
+        ([-1, 1, 3], [1, 1, 2], 0, 4, "element orders must be positive"),
+    ],
+)
+def test_a_profile_that_does_not_match_its_size_identity_or_elements_raises(
+    class_orders, class_sizes, identity, size, message
+):
+    if message.startswith(("class_sizes give", "the element at")):  # on the first read of the elements
+        with pytest.raises(ValueError, match=message):
+            _four_elements(class_orders, class_sizes, identity, size).order_array
+    else:
+        with pytest.raises(ValueError, match=message):
+            _four_elements(class_orders, class_sizes, identity, size)
+
+
+@pytest.mark.parametrize(
+    "target, replacement, message",
+    [
+        # every element of Z_n but the identity made of order n: the orders 2 and 3 of Z_6 lose theirs
+        ("_cyclic_orders", lambda n: np.where(np.arange(n) == 0, 1, n), "the order 2, which no element has"),
+        # one element of Z_6 moved from order 3 to order 2 in the formula, the size kept
+        ("divisors_with_phi", lambda n: ((1, 1), (2, 2), (3, 1), (6, 2)),
+         "class_sizes give 2 elements of order 2, but 1 have it"),
+    ],
+    ids=["elements", "formula"],
+)
+def test_a_family_formula_that_disagrees_with_its_elements_raises_on_the_first_element_read(
+    monkeypatch, target, replacement, message
+):
+    monkeypatch.setattr(groups, target, replacement)
+    g = cyclic(6)
+    t = build_theta(g)  # the graph is made from the formula alone
+    assert t.n_vertices == 6
     with pytest.raises(ValueError, match=message):
-        g.order_classes
-    with pytest.raises(ValueError, match=message):
-        build_theta(g)
+        g.order_array
+    with pytest.raises(ValueError, match=message):  # a failed read is not kept
+        t.degrees
+
+
+def test_structure_checks_make_no_element_of_any_built_in_group_to_200():
+    for _, family, params, build, args in group_keys(200, FAMILIES):
+        g = build(*args)
+        t = build_theta(g)
+        is_connected(t), is_eulerian(t), is_complete(t), diameter(t), girth(t), domination_number(t)
+        planarity_decision(t)
+        assert "order_array" not in vars(g), (family, params)
+        assert "class_of" not in vars(g.order_classes) and "class_of" not in vars(t.quotient), (family, params)
+        assert "degrees" not in vars(t), (family, params)
 
 
 def test_no_built_in_family_sorts_its_elements_to_find_its_classes(monkeypatch):

@@ -246,6 +246,22 @@ def test_singleton_domination():
         assert is_singleton_dominating(t, t.group.identity_index)
 
 
+def test_singleton_domination_reads_each_vertex_on_any_graph_of_the_group():
+    # the identity's class is read off the classes on the group's own graph, and off its vertex
+    # on a graph of another quotient: the same graph with its classes renumbered, and a graph
+    # whose identity lost an edge, which must fail the identity's criterion
+    # (a custom Z_4 and a product list the identity second, so that renumbered, its class is not 0)
+    second = from_orders(["a", "e", "b", "c"], [4, 1, 2, 4])
+    built_in = [build(*args) for *_, build, args in groups.group_keys(60, groups.FAMILIES)]
+    for g in [*built_in, second, direct_product(from_orders(["a", "e"], [2, 1]), cyclic(4))]:
+        t = build_theta(g)
+        for u in (t, from_adjacency(g, t.adj)):
+            dominating = [is_singleton_dominating(u, v) for v in range(u.n_vertices)]
+            assert dominating == (t.degrees == t.n_vertices - 1).tolist(), g.describe()
+        with pytest.raises(CrossCheckError, match=rf"domination criteria disagree .* at vertex {g.identity_index}\b"):
+            is_singleton_dominating(corrupting_builder(g), g.identity_index)
+
+
 def _count_primality_calls(monkeypatch):
     """Count calls of every primality predicate bound by the group, graph
     and property layers."""
@@ -857,7 +873,7 @@ def test_vertex_connectivity_and_components_on_random_twin_quotients():
         adjacent = upper | upper.T | np.diag(rng.random(k) < 0.5)
         class_of = rng.permutation(np.repeat(np.arange(k), rng.integers(1, 4, size=k)))
         n = len(class_of)
-        q = groups.TwinQuotient(class_of, adjacent, np.bincount(class_of, minlength=k))
+        q = groups.TwinQuotient(adjacent, np.bincount(class_of, minlength=k), lambda: class_of)
         t = ThetaGraph(from_orders([f"v{v}" for v in range(n)], [1] + [2] * (n - 1)), q)
         g = _nx_graph(t)
         conn = vertex_connectivity(t)

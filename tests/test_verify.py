@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from thetagraph.graph import build_theta
+from thetagraph.groups import GroupSpec
 from thetagraph.verify import SUITES, corrupting_builder, run_suite
 
 
@@ -35,3 +36,14 @@ def test_each_suite_matches_its_slice_of_all(build):
     for suite, checks in SUITES.items():
         start = SUITES["all"].index(checks[0])
         assert run_suite(suite, build=build) == everything[start:start + len(checks)], suite
+
+
+def test_a_passing_run_names_no_group(monkeypatch):
+    # a check's message names its group only when an expectation fails
+    calls = []
+    describe = GroupSpec.describe
+    monkeypatch.setattr(GroupSpec, "describe", lambda g: calls.append(g.family) or describe(g))
+    assert all(r.ok for r in run_suite("all"))
+    assert calls == []
+    failed = [f for r in run_suite("all", build=corrupting_builder) for f in r.failures]
+    assert len(calls) >= len(failed) > 0
